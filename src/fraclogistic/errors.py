@@ -15,8 +15,8 @@ class ConvergenceError(ValueError):
 class SolverError(RuntimeError):
     """A time stepper failed to produce a usable value.
 
-    ``step`` holds the index of the grid node at which the corrector
-    diverged or produced a non-finite value.
+    ``step`` holds the index of the grid node whose implicit equation has
+    no real root, or whose selected root is non-finite or not positive.
     """
 
     def __init__(self, message: str, step: int):

@@ -20,11 +20,19 @@ The singular integral uses product integration on a uniform grid:
 the smooth factor f is replaced by its piecewise-linear interpolant
 (product trapezoid, the default) or piecewise-constant left-endpoint
 interpolant (rectangle fallback), and the kernel is integrated exactly
-against it.  History weights cost O(n) per step, O(M^2) per trajectory.
+against it.  The history weights depend only on the lag n - j, so the
+history sum is a discrete convolution: pairs within one aligned block of
+64 nodes are summed directly, longer-range pairs in doubling blocks by
+FFT (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
+A run of M steps costs O(M log^2 M) and gives the direct sum's values up
+to rounding.
 
-Implicit parts (the pointwise f(t_n) terms, the quadrature diagonal, and
-the delayed value when lam*t_n falls in the current cell) are resolved by
-fixed-point corrector iteration.
+Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
+each step an equation in the unknown z_n.  The delayed value is affine in
+it, z(lam t_n) = a + b z_n with b in {0, theta, 1}, so the step is the
+scalar quadratic A z^2 + B z - C = 0 and is solved exactly (the root
+nearest z_{n-1} when A != 0).  No real root, a non-finite root or a root
+<= 0 raises :class:`SolverError` with the step index.
 
 Delay handling: z(lam*t_n) is linearly interpolated on the already
 computed grid; no history function is needed since lam in [0, 1] maps
@@ -32,14 +40,14 @@ computed grid; no history function is needed since lam in [0, 1] maps
 
 * lam = 1 participates directly (z(lam t_n) is the current unknown);
 * lam = 0 uses the *nominal* initial value z0, the problem datum, not the
-  stored t = 0 node.  For the ABC operator the stored node is the
-  corrector-converged value of the implicit relation at t = 0 (the jump
-  amplitude A on linear problems), while the feedback the lam = 0 model
-  prescribes is the datum itself; using the datum makes the solver agree
-  with the closed-form lam = 0 solution exactly, jump included.
+  stored t = 0 node.  For the ABC operator the stored node is the root of
+  the implicit relation at t = 0 (the jump amplitude A on linear
+  problems), while the feedback the lam = 0 model prescribes is the datum
+  itself; using the datum makes the solver agree with the closed-form
+  lam = 0 solution exactly, jump included.
 
-Not supported: adaptive stepping, fast history compression, stiff-regime
-guarantees (corrector divergence raises :class:`SolverError` instead).
+Not supported: adaptive stepping, stiff-regime guarantees (a step with no
+admissible root raises :class:`SolverError` instead).
 """
 
 from __future__ import annotations
@@ -64,10 +72,11 @@ __all__ = [
     "compare_operators",
 ]
 
-# A step whose corrector has not contracted below this residual after the
-# configured number of sweeps is treated as a failure.
-_RESIDUAL_LIMIT = 1e-6
-_MAX_STEPS = 10_000_000
+# Longer runs are refused up front: 2e6 ABC steps take about 11 s and
+# 230 MB on a 2-vCPU Xeon, and time and memory grow slightly faster than M.
+_MAX_STEPS = 2_000_000
+# History pairs closer than one aligned block are summed directly.
+_BLOCK = 64
 
 QUADRATURES = ("trapezoid", "rectangle")
 
@@ -82,13 +91,11 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Grid and corrector settings for :func:`solve`."""
+    """Operator, grid and quadrature rule for :func:`solve`."""
 
     operator: OperatorKind
     t_end: float
     h: float
-    corrector_iters: int = 5
-    corrector_tol: float = 1e-12
     quadrature: str = "trapezoid"
 
     def __post_init__(self):
@@ -112,10 +119,6 @@ class SolveConfig:
             raise ValueError(f"t_end/h must not exceed {_MAX_STEPS:g}")
         object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "h", h)
-        if self.corrector_iters < 1:
-            raise ValueError(f"corrector_iters must be >= 1, got {self.corrector_iters}")
-        if self.corrector_tol <= 0.0:
-            raise ValueError(f"corrector_tol must be > 0, got {self.corrector_tol}")
         if self.quadrature not in QUADRATURES:
             raise ValueError(
                 f"quadrature must be one of {QUADRATURES}, got {self.quadrature!r}"
@@ -136,6 +139,28 @@ class OperatorComparison(NamedTuple):
     abc: Trajectory
     cfc: Trajectory
     caputo: Trajectory
+
+
+def _lag_weights(mu: float, size: int, trapezoid: bool) -> tuple:
+    """Unscaled history weights of the power-law kernel for lags 0..size.
+
+    Returns ``(w, end)``: ``w[m]`` weights f(t_{n-m}) in the history sum
+    of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0 term adds on
+    top of ``w[n]`` (the product-trapezoid end weight; zero for the
+    rectangle rule).
+    """
+    k = np.arange(size + 2, dtype=float)
+    w = np.zeros(size + 1)
+    end = np.zeros(size + 1)
+    if trapezoid:
+        kp = k ** (mu + 1.0)
+        w[1:] = kp[2:] + kp[:-2] - 2.0 * kp[1:-1]
+        n = k[1:-1]
+        end[1:] = kp[:-2] - n ** mu * (n - mu - 1.0) - w[1:]
+    else:
+        km = k[:-1] ** mu
+        w[1:] = km[1:] - km[:-1]
+    return w, end
 
 
 def solve(
@@ -162,31 +187,64 @@ def solve(
     Raises
     ------
     SolverError
-        If the corrector produces a non-finite value or fails to contract.
+        If an implicit step has no real root, or its root is non-finite or
+        not positive.
     """
     p = params
     h = cfg.h
     mu = p.mu
+    r, k, z0, lam = p.r, p.k, p.z0, p.lam
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
     grid = h * np.arange(n_steps + 1)
     z = np.zeros(n_steps + 1)
     f_hist = np.zeros(n_steps + 1)
 
-    def rhs(state: float, delayed: float) -> float:
-        return logistic_rhs(p, state, delayed, forcing)
-
-    def delayed_value(n: int, current: float) -> float:
+    def step(n: int, base: float, diag: float) -> None:
+        """Solve z_n = base + diag * f(t_n, z_n, z(lam t_n)); store z_n and f_n."""
+        # delayed value a + b * z_n
         if not pantograph:
-            return current
-        if p.lam == 0.0:
-            return p.z0
-        pos = p.lam * n  # grid units of lam * t_n
-        j = int(pos)
-        if j >= n:
-            return current
-        theta = pos - j
-        upper = current if j + 1 == n else z[j + 1]
-        return (1.0 - theta) * z[j] + theta * upper
+            a, b = 0.0, 1.0
+        elif lam == 0.0:
+            a, b = z0, 0.0
+        else:
+            pos = lam * n  # grid units of lam * t_n
+            j = int(pos)
+            if j >= n:
+                a, b = 0.0, 1.0
+            else:
+                theta = pos - j
+                a = (1.0 - theta) * z.item(j)
+                if j + 1 == n:
+                    b = theta
+                else:
+                    a, b = a + theta * z.item(j + 1), 0.0
+        # A z^2 + B z - C = 0
+        rd = diag * r
+        qa = rd * b / k
+        qb = 1.0 - rd * (1.0 - a / k)
+        qc = base + diag * forcing
+        if qa == 0.0:
+            if qb == 0.0:
+                raise SolverError(f"no real root at step {n}", step=n)
+            zn = qc / qb
+        else:
+            disc = qb * qb + 4.0 * qa * qc
+            if disc < 0.0:
+                raise SolverError(f"no real root at step {n}", step=n)
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            if q == 0.0:  # double root at 0
+                zn = 0.0
+            else:
+                # the two roots, each without cancellation
+                r1, r2 = q / qa, -qc / q
+                prev = z.item(n - 1) if n > 0 else z0
+                zn = r1 if abs(r1 - prev) < abs(r2 - prev) else r2
+        if not math.isfinite(zn):
+            raise SolverError(f"non-finite state at step {n}", step=n)
+        if zn <= 0.0:
+            raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
+        z[n] = zn
+        f_hist[n] = logistic_rhs(p, zn, a + b * zn, forcing)
 
     trapezoid = cfg.quadrature == "trapezoid"
     op = cfg.operator
@@ -201,85 +259,77 @@ def solve(
         c_point = (1.0 - mu) / p.b_norm
         c_quad = mu / p.b_norm
 
-    singular = op in (OperatorKind.ABC, OperatorKind.CAPUTO)
-    if singular:
-        k = np.arange(n_steps + 1, dtype=float)
-        if trapezoid:
-            kp = k ** (mu + 1.0)
-            # interior weights depend only on the distance n - j
-            interior = kp[2:] + kp[:-2] - 2.0 * kp[1:-1] if n_steps > 1 else np.zeros(0)
-            w_scale = h ** mu / (mu * (mu + 1.0))
-        else:
-            km = k ** mu
-            left = km[1:] - km[:-1]  # weight for distance m is left[m-1]
-            w_scale = h ** mu / mu
-
-    def corrector(n: int, base: float, diag: float, sweeps: int) -> float:
-        """Fixed-point sweeps for z_n = base + diag * f(t_n, z_n, z(lam t_n))."""
-        guess = z[n - 1] if n > 0 else p.z0
-        residual = math.inf
-        first_residual = math.inf
-        for it in range(sweeps):
-            fn = rhs(guess, delayed_value(n, guess))
-            new = base + diag * fn
-            if not math.isfinite(new):
-                raise SolverError(f"non-finite state at step {n}", step=n)
-            residual = abs(new - guess)
-            if it == 0:
-                first_residual = residual
-            guess = new
-            if residual <= cfg.corrector_tol:
-                break
-        if residual > _RESIDUAL_LIMIT and residual >= first_residual:
-            raise SolverError(
-                f"corrector did not contract at step {n}: residual "
-                f"{residual:.3e} after {sweeps} sweeps",
-                step=n,
-            )
-        return guess
-
     # Initial node: ABC keeps a pointwise f term even at t = 0, so its
-    # starting value solves an implicit scalar relation (the jump amplitude
-    # on linear problems); the datum z0 is a poor predictor for it, so this
-    # single node gets enough sweeps to actually converge.  CFC and Caputo
-    # start exactly at the datum.
+    # starting value solves the implicit relation (the jump amplitude on
+    # linear problems).  CFC and Caputo start exactly at the datum.
     if op is OperatorKind.ABC:
-        z[0] = corrector(0, p.z0, c_point, max(cfg.corrector_iters, 100))
+        step(0, z0, c_point)
     else:
-        z[0] = p.z0
-    f_hist[0] = rhs(z[0], delayed_value(0, z[0]))
-    f0 = f_hist[0]
-    running_integral = 0.0  # CFC cumulative quadrature over completed cells
+        z[0] = z0
+        f_hist[0] = logistic_rhs(p, z0, z0, forcing)
+    f0 = float(f_hist[0])
 
-    for n in range(1, n_steps + 1):
-        if singular:
+    if op is OperatorKind.CFC:
+        if trapezoid:
+            diag = c_point + c_quad * 0.5 * h
+        else:
+            diag = c_point
+        base0 = z0 - c_point * f0
+        integral = 0.0  # quadrature over completed cells
+        for n in range(1, n_steps + 1):
+            f_prev = f_hist.item(n - 1)
             if trapezoid:
-                a0 = (n - 1.0) ** (mu + 1.0) - n ** mu * (n - mu - 1.0)
-                lag = a0 * f_hist[0]
-                if n > 1:
-                    lag += float(np.dot(interior[: n - 1], f_hist[n - 1:0:-1]))
-                base = p.z0 + c_quad * w_scale * lag
-                diag = c_point + c_quad * w_scale
+                step(n, base0 + c_quad * (integral + 0.5 * h * f_prev), diag)
+                integral += 0.5 * h * (f_prev + f_hist.item(n))
             else:
-                lag = float(np.dot(left[:n][::-1], f_hist[:n]))
-                base = p.z0 + c_quad * w_scale * lag
-                diag = c_point
-        else:  # CFC
-            if trapezoid:
-                lag_integral = running_integral + 0.5 * h * f_hist[n - 1]
-                diag = c_point + c_quad * 0.5 * h
-            else:
-                lag_integral = running_integral + h * f_hist[n - 1]
-                diag = c_point
-            base = p.z0 - c_point * f0 + c_quad * lag_integral
+                integral += h * f_prev
+                step(n, base0 + c_quad * integral, diag)
+    else:
+        w, end = _lag_weights(mu, max(n_steps, _BLOCK), trapezoid)
+        # far[n]: history of node n from nodes in earlier blocks, plus the
+        # j = 0 end correction
+        far = end[:n_steps + 1] * f0
+        if trapezoid:
+            w_scale = h ** mu / (mu * (mu + 1.0))
+            diag = c_point + c_quad * w_scale
+        else:
+            w_scale = h ** mu / mu
+            diag = c_point
+        near = w[_BLOCK:0:-1]  # near[i] = w[_BLOCK - i]
+        spectra = {}  # rfft of w[1:2P], by piece length P
 
-        z[n] = corrector(n, base, diag, cfg.corrector_iters)
-        f_hist[n] = rhs(z[n], delayed_value(n, z[n]))
-        if not singular:
-            if trapezoid:
-                running_integral += 0.5 * h * (f_hist[n - 1] + f_hist[n])
+        def add_far(n: int) -> None:
+            """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n."""
+            size = n & -n
+            count = min(size, n_steps + 1 - n)
+            # Sources go in pieces of P >= count nodes (at most 8 pieces), so
+            # a block that runs past the last node needs no full-size FFT.
+            # A piece ending off nodes before n reaches its targets through
+            # lags off+1 .. off+2P-1; length 2P keeps the wrap-around in
+            # discarded entries.
+            piece = max(size >> 3, min(size, 1 << (count - 1).bit_length()))
+            for start in range(n - size, n, piece):
+                off = n - start - piece
+                if off:
+                    spec = np.fft.rfft(w[off + 1:off + 2 * piece], 2 * piece)
+                else:
+                    spec = spectra.get(piece)
+                    if spec is None:
+                        spec = spectra[piece] = np.fft.rfft(w[1:2 * piece], 2 * piece)
+                conv = np.fft.irfft(np.fft.rfft(f_hist[start:start + piece], 2 * piece)
+                                    * spec, 2 * piece)
+                far[n:n + count] += conv[piece - 1:piece - 1 + count]
+
+        c_lag = c_quad * w_scale
+        for n in range(1, n_steps + 1):
+            near_len = n % _BLOCK
+            if near_len:
+                lag = far.item(n) + float(np.dot(near[_BLOCK - near_len:],
+                                                 f_hist[n - near_len:n]))
             else:
-                running_integral += h * f_hist[n - 1]
+                add_far(n)
+                lag = far.item(n)
+            step(n, z0 + c_lag * lag, diag)
 
     return Trajectory(grid=grid, values=z, operator=op, params=p)
 

@@ -1,8 +1,10 @@
 """Shared assertions and generators for the test suite."""
 
+import math
+
 import numpy as np
 
-from fraclogistic import FracSeries
+from fraclogistic import FracSeries, OperatorKind
 
 
 def assert_series_close(a, b, rtol=1e-12, atol=1e-30):
@@ -18,3 +20,82 @@ def assert_series_close(a, b, rtol=1e-12, atol=1e-30):
 def random_frac_series(rng, mu, length, scale=2.0):
     coeffs = tuple(rng.uniform(-scale, scale) for _ in range(length))
     return FracSeries(mu, coeffs)
+
+
+def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
+                    max_sweeps=100_000):
+    """Values of the product-integration scheme, computed the slow direct way.
+
+    Same discretisation as :func:`fraclogistic.solve`, but every history sum
+    is a direct O(n) dot product (O(M^2) per run) and every implicit step is
+    a plain fixed-point iteration run until successive iterates agree to
+    ``tol`` relative.  A step that does not get there in ``max_sweeps``
+    sweeps fails the calling test instead of returning a guess.
+    """
+    p = params
+    h, mu = cfg.h, p.mu
+    steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
+    z = np.zeros(steps + 1)
+    f = np.zeros(steps + 1)
+    op = cfg.operator
+    trapezoid = cfg.quadrature == "trapezoid"
+    singular = op is not OperatorKind.CFC
+    c_point = 0.0 if op is OperatorKind.CAPUTO else (1.0 - mu) / p.b_norm
+    if op is OperatorKind.ABC:
+        c_quad = mu / (p.b_norm * math.gamma(mu))
+    elif op is OperatorKind.CAPUTO:
+        c_quad = 1.0 / math.gamma(mu)
+    else:
+        c_quad = mu / p.b_norm
+
+    def delayed(n, current):
+        if not pantograph:
+            return current
+        if p.lam == 0.0:
+            return p.z0
+        pos = p.lam * n
+        j = int(pos)
+        if j >= n:
+            return current
+        theta = pos - j
+        upper = current if j + 1 == n else z[j + 1]
+        return (1.0 - theta) * z[j] + theta * upper
+
+    def rhs(n, state):
+        return p.r * state * (1.0 - delayed(n, state) / p.k) + forcing
+
+    def fixed_point(n, base, diag):
+        guess = z[n - 1] if n > 0 else p.z0
+        for _ in range(max_sweeps):
+            new = base + diag * rhs(n, guess)
+            if abs(new - guess) <= tol * abs(new):
+                return new
+            guess = new
+        raise AssertionError(f"reference fixed point did not converge at step {n}")
+
+    z[0] = fixed_point(0, p.z0, c_point) if op is OperatorKind.ABC else p.z0
+    f[0] = rhs(0, z[0])
+    for n in range(1, steps + 1):
+        if singular:
+            m = n - np.arange(n, dtype=float)  # distance n - j for j = 0..n-1
+            if trapezoid:
+                scale = h ** mu / (mu * (mu + 1.0))
+                w = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
+                w[0] = (n - 1.0) ** (mu + 1.0) - n ** mu * (n - mu - 1.0)
+                diag = c_point + c_quad * scale
+            else:
+                scale = h ** mu / mu
+                w = m ** mu - (m - 1.0) ** mu
+                diag = c_point
+            base = p.z0 + c_quad * scale * float(np.dot(w, f[:n]))
+        else:
+            if trapezoid:
+                integral = h * (0.5 * f[0] + float(np.sum(f[1:n])))
+                diag = c_point + 0.5 * h * c_quad
+            else:
+                integral = h * float(np.sum(f[:n]))
+                diag = c_point
+            base = p.z0 - c_point * f[0] + c_quad * integral
+        z[n] = fixed_point(n, base, diag)
+        f[n] = rhs(n, z[n])
+    return z

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import reference_solve
 
 from fraclogistic import (
     ModelParams,
@@ -164,9 +165,58 @@ class TestFailureModes:
             SolveConfig(operator="bogus", t_end=1.0, h=0.1)
         with pytest.raises(ValueError):
             SolveConfig(operator="abc", t_end=1.0, h=0.1, quadrature="simpson")
-        with pytest.raises(ValueError):
-            SolveConfig(operator="abc", t_end=1.0, h=0.1, corrector_iters=0)
+
+    def test_step_limit(self):
+        SolveConfig(operator="abc", t_end=2e6, h=1.0)
+        with pytest.raises(ValueError, match="t_end/h"):
+            SolveConfig(operator="abc", t_end=2e6 + 1, h=1.0)
+
+    @pytest.mark.parametrize(
+        "params, operator, h, step, message",
+        [
+            (ModelParams(r=4.0, k=100.0, z0=10.0, mu=0.5, lam=0.5), "caputo", 0.25,
+             1, "non-positive"),
+            (ModelParams(r=-30.0, k=100.0, z0=150.0, mu=0.6, lam=0.5), "cfc", 0.05,
+             22, "non-positive"),
+            (ModelParams(r=-30.0, k=100.0, z0=150.0, mu=0.9, lam=1.0), "abc", 0.05,
+             0, "no real root"),
+        ],
+    )
+    def test_inadmissible_root_reports_step(self, params, operator, h, step, message):
+        with pytest.raises(SolverError, match=message) as excinfo:
+            solve(params, SolveConfig(operator=operator, t_end=5.0, h=h))
+        assert excinfo.value.step == step
 
     def test_operator_string_coercion(self):
         cfg = SolveConfig(operator="CAPUTO", t_end=1.0, h=0.1)
         assert cfg.operator is OperatorKind.CAPUTO
+
+
+class TestReferenceEquivalence:
+    """The fast solver against the direct O(M^2) sum with converged steps."""
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "rectangle"])
+    @pytest.mark.parametrize("lam, pantograph", [(0.0, True), (0.37, True), (1.0, True),
+                                                 (0.37, False)])
+    def test_matches_reference(self, operator, quadrature, lam, pantograph):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
+        h = 2.0 ** -6
+        # step counts straddle the 64-node history blocks; at 1100 the
+        # 1024-node block that runs past the last node is split
+        for steps in (1, 2, 63, 64, 65, 197, 1000, 1100):
+            cfg = SolveConfig(operator=operator, t_end=steps * h, h=h, quadrature=quadrature)
+            got = solve(p, cfg, pantograph=pantograph).values
+            assert len(got) == steps + 1
+            ref = reference_solve(p, cfg, pantograph=pantograph)
+            assert max_rel(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_fast_growth_steps_are_converged(self, operator):
+        # Large r * h: a few fixed-point sweeps per step stop well short of
+        # the step's solution here; the exact step must not.
+        p = ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.9, lam=1.0)
+        cfg = SolveConfig(operator=operator, t_end=10.0, h=0.1)
+        got = solve(p, cfg).values
+        ref = reference_solve(p, cfg)
+        assert max_rel(got, ref) <= 1e-10
