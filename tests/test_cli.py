@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fraclogistic import ModelParams, abc_exact_lambda0, mittag_leffler
-from fraclogistic.cli import main
+from fraclogistic.cli import _COMMAND_FLAGS, main
 
 
 def run_cli(capsys, *argv):
@@ -247,3 +247,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("t,z\n")
+
+
+def test_runtime_imports_neither_scipy_nor_mpmath():
+    # every command in a fresh interpreter, with negative and positive
+    # Mittag-Leffler arguments: numpy is the only runtime dependency
+    extra = {
+        "ml-eval": ["--from", "-200", "--to", "5", "--points", "41"],
+        "exact-lambda0": ["--z0", "200", "--vary", "mu"],
+        "surface": ["--vary", "both"],
+    }
+    commands = [[name, *extra.get(name, [])] for name in _COMMAND_FLAGS]
+    script = (
+        "import contextlib, io, sys\n"
+        "from fraclogistic.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

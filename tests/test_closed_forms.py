@@ -92,6 +92,14 @@ class TestLambdaZeroForm:
         expected = amp * erfcx(-arg)  # erfcx(-x) = e^{x^2} erfc(-x) = E_{1/2}(x)
         assert abc_exact_lambda0(p, 1.0) == pytest.approx(expected, rel=1e-10)
 
+    def test_decay_from_above_capacity_against_erfc_oracle(self):
+        # den = 1 + (-8)(-0.5) = 5, A = 200/5 = 40, q = -8 * 0.5 / 5 = -0.8,
+        # so q t^0.5 spans -120 .. -1 on t in [1.5625, 22500]
+        p = ModelParams(r=8.0, k=100.0, z0=200.0, mu=0.5, lam=0.0)
+        for t in np.geomspace(1.5625, 22500.0, 41):
+            expected = 40.0 * erfcx(0.8 * math.sqrt(t))
+            assert abc_exact_lambda0(p, t) == pytest.approx(expected, rel=1e-10)
+
     def test_initial_value_is_amplitude_not_datum(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=0.0)
         amp = lambda0_amplitude(p)
