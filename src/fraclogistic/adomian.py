@@ -16,7 +16,10 @@ only on ``x_0 .. x_n``.  Two expansions are provided:
 
 Both coincide for ``lam = 1``.  Polynomials are built by direct double
 convolution of the series terms, which is exact for this quadratic
-nonlinearity.
+nonlinearity.  This module is the reference and the public API, not the
+hot path: :func:`fraclogistic.hsv.hsv_iterate` forms only the last
+polynomial on a coefficient matrix, with the same operations in the same
+order.
 """
 
 from __future__ import annotations

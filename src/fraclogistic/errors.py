@@ -2,9 +2,12 @@
 
 
 class ConvergenceError(ValueError):
-    """The geometric-series ratio left the convergence region |q| < 1.
+    """A series did not converge.
 
-    The offending ratio is kept on the ``ratio`` attribute.
+    Raised when the geometric-series ratio leaves the convergence region
+    |q| < 1, and when the Mittag-Leffler series runs out of terms.  The
+    offending ratio, or the series argument, is kept on the ``ratio``
+    attribute.
     """
 
     def __init__(self, message: str, ratio: float):

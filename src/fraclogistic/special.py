@@ -20,6 +20,8 @@ import sys
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 __all__ = ["gamma_fn", "mittag_leffler"]
 
 _MAX_TERMS = 100_000
@@ -72,8 +74,9 @@ def mittag_leffler(mu: float, arg: float) -> float:
 
     ``exp(arg)`` for mu == 1; otherwise the compensated series for arg > 0
     and the contour inversion for arg < 0, which is within about 2e-15
-    absolute on [-200, 0).  Results exceeding the double range are
-    reported as ``inf``.
+    absolute on [-200, 0) and capped at 1.  Results exceeding the double
+    range are reported as ``inf``; a series that has not converged after
+    100000 terms raises :class:`ConvergenceError` carrying ``arg``.
     """
     mu = float(mu)
     arg = float(arg)
@@ -92,7 +95,9 @@ def mittag_leffler(mu: float, arg: float) -> float:
     if arg > 0.0:
         return _series_float(mu, arg)
     s_mu = np.exp(mu * _LOG_S)
-    return float(np.dot(_WEIGHTS, s_mu / (s_mu - arg)).real)
+    # E_mu(x) lies in (0, 1] for x < 0; the rounding error of about 2e-15
+    # would otherwise push tiny arguments just above 1.
+    return min(float(np.dot(_WEIGHTS, s_mu / (s_mu - arg)).real), 1.0)
 
 
 def _series_float(mu: float, x: float) -> float:
@@ -115,4 +120,8 @@ def _series_float(mu: float, x: float) -> float:
         if term < prev_term and term <= _CUTOFF * total:
             return total
         prev_term = term
-    raise RuntimeError("Mittag-Leffler series did not converge")  # pragma: no cover
+    raise ConvergenceError(
+        f"Mittag-Leffler series of order {mu} did not converge in "
+        f"{_MAX_TERMS} terms at argument {x}",
+        ratio=x,
+    )

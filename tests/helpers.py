@@ -4,7 +4,16 @@ import math
 
 import numpy as np
 
-from fraclogistic import FracSeries, OperatorKind
+from fraclogistic import (
+    FracSeries,
+    OperatorKind,
+    adomian_delayed_product,
+    kernel_multiply,
+    series_add,
+    series_scale,
+    sumudu_forward,
+    sumudu_inverse,
+)
 
 
 def assert_series_close(a, b, rtol=1e-12, atol=1e-30):
@@ -99,3 +108,25 @@ def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
         z[n] = fixed_point(n, base, diag)
         f[n] = rhs(n, z[n])
     return z
+
+
+def reference_hsv_iterate(params, n_terms, mode="general"):
+    """Terms x_0 .. x_n of the HSV iteration, built from series objects.
+
+    Each step rebuilds every Adomian polynomial ``P_0 .. P_n`` with
+    :func:`fraclogistic.adomian_delayed_product`, keeps the last one and
+    goes through the Sumudu transform pair term by term, as the definition
+    reads.  The cost grows as about n^4, so it serves small n only.
+    """
+    p = params
+    terms = [FracSeries(p.mu, (p.z0,))]
+    for _ in range(n_terms):
+        poly = adomian_delayed_product(terms, p.lam, mode)[-1]
+        combined = series_add(
+            sumudu_forward(terms[-1]),
+            series_scale(sumudu_forward(poly), -1.0 / p.k),
+        )
+        terms.append(
+            sumudu_inverse(series_scale(kernel_multiply(combined), p.r / p.b_norm))
+        )
+    return tuple(terms)

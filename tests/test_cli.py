@@ -235,6 +235,20 @@ class TestExitCodes:
         assert code == 3
         assert "diverges" in err
 
+    def test_series_failure_exit(self, capsys):
+        code, _, err = run_cli(capsys, "ml-eval", "--mu", "0.002", "--from", "1",
+                               "--to", "1.01", "--points", "2")
+        assert code == 3
+        assert err.startswith("error:") and "did not converge" in err
+
+    @pytest.mark.parametrize("argv", [("hsv", "--mu", "1", "--n-terms", "175"),
+                                      ("convergence", "--n-max", "201")])
+    def test_unfinishable_truncation_order_exit(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "classical", "--config", "/nonexistent.json")
         assert code == 2

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fraclogistic import (
     psi_kernel,
 )
 from fraclogistic import classical_exact
-from helpers import assert_series_close
+from helpers import assert_series_close, reference_hsv_iterate
 
 BASE = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.6, lam=1.0)
 
@@ -147,6 +149,51 @@ def test_iterate_validation():
         hsv_iterate(BASE, 0)
     with pytest.raises(ValueError):
         hsv_iterate(BASE, 3, mode="bogus")
+
+
+def test_truncation_order_limits():
+    small_mu = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.05, lam=0.5)
+    assert hsv_iterate(small_mu, 200).truncation == 200
+    with pytest.raises(ValueError, match="at most 200"):
+        hsv_iterate(small_mu, 201)
+    # Gamma(n*mu + 1) overflows once n*mu passes about 170
+    classical = ModelParams(r=0.5, k=100.0, z0=10.0, mu=1.0, lam=1.0)
+    assert hsv_iterate(classical, 170).truncation == 170
+    with pytest.raises(ValueError, match="overflows"):
+        hsv_iterate(classical, 175)
+
+
+def _assert_matches_reference(p, n, mode):
+    got = [term.coeffs for term in hsv_iterate(p, n, mode).terms]
+    want = [term.coeffs for term in reference_hsv_iterate(p, n, mode)]
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", ["general", "square"])
+@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.9, 1.0])
+def test_terms_match_reference_exactly(mu, mode):
+    # same floating-point operations in the same order: equality, not closeness
+    for lam, r, z0 in itertools.product((0.0, 0.37, 1.0), (0.1, -0.7, 2.0), (10.0, 150.0)):
+        p = ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam)
+        for n in (1, 2, 10):
+            _assert_matches_reference(p, n, mode)
+
+
+@pytest.mark.parametrize(
+    ("mu", "lam", "mode", "r", "z0"),
+    [(0.05, 0.37, "general", 2.0, 150.0), (0.5, 0.0, "general", -0.7, 10.0),
+     (0.9, 0.37, "square", 0.1, 150.0), (1.0, 1.0, "general", 2.0, 10.0)],
+)
+def test_long_run_matches_reference_exactly(mu, lam, mode, r, z0):
+    _assert_matches_reference(ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam), 30, mode)
+
+
+def test_overflowing_coefficients_raise():
+    p = ModelParams(r=1e200, k=100.0, z0=10.0, mu=0.5, lam=0.5)
+    with pytest.raises(ValueError):
+        reference_hsv_iterate(p, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        hsv_iterate(p, 3)
 
 
 class TestGeometricForm:

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erfcx
 from scipy.special import gamma as scipy_gamma
 
-from fraclogistic import gamma_fn, mittag_leffler
+from fraclogistic import ConvergenceError, gamma_fn, mittag_leffler
 
 
 def test_gamma_integers():
@@ -112,6 +112,18 @@ def test_ml_against_oracle(mu, args):
     for x in args:
         reference = _ml_oracle(mu, x)
         assert abs(mittag_leffler(mu, x) - reference) <= 1e-10 * abs(reference) + 1e-16
+
+
+def test_ml_tiny_negative_arguments_stay_at_most_one():
+    assert mittag_leffler(0.5, -1e-300) <= 1.0
+    assert mittag_leffler(0.9, -1e-15) <= 1.0
+
+
+def test_ml_unconverged_series_raises_convergence_error():
+    # for small orders just above 1 the terms peak past the term budget
+    with pytest.raises(ConvergenceError) as excinfo:
+        mittag_leffler(0.002, 1.01)
+    assert excinfo.value.ratio == 1.01
 
 
 def test_ml_huge_positive_reports_inf():

@@ -1,0 +1,30 @@
+"""The benchmark's tracer must still find every name it wraps."""
+
+import importlib.util
+from pathlib import Path
+
+from fraclogistic import cli
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores(capsys):
+    tracing = _load_tracing()
+    original = cli.hsv_iterate
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.hsv_iterate is not original
+        assert cli.main(["convergence", "--n-max", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counts["hsv.terms"] == 5
+    assert cli.hsv_iterate is original
