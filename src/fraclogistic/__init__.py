@@ -32,7 +32,6 @@ from .model import ModelParams, logistic_rhs
 from .series import (
     FracSeries,
     SumuduSeries,
-    convolution_check,
     delay_rescale,
     eval_series,
     kernel_multiply,
@@ -77,7 +76,6 @@ __all__ = [
     "classical_exact",
     "classical_fixed_points",
     "compare_operators",
-    "convolution_check",
     "delay_rescale",
     "eval_series",
     "gamma_fn",

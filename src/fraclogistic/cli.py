@@ -214,9 +214,8 @@ def _cmd_exact_lambda0(spec: RunSpec):
 
 def _cmd_hsv(spec: RunSpec):
     sol = hsv_iterate(spec.params, spec.n_terms, spec.mode)
-    rows = [
-        f"{_fmt(t)},{_fmt(hsv_evaluate(sol, t).value)}" for t in _time_grid(spec)
-    ]
+    ts = _time_grid(spec)
+    rows = [f"{_fmt(t)},{_fmt(z)}" for t, z in zip(ts, hsv_evaluate(sol, ts).value)]
     return "t,z", rows
 
 
@@ -258,18 +257,13 @@ def _cmd_surface(spec: RunSpec):
         raise ValueError("surface requires --vary (mu | lambda | both)")
     ts = _time_grid(spec)
     rows = []
-    if spec.vary == "mu":
-        for mu in _sweep_values(spec, "mu"):
-            sol = hsv_iterate(replace(spec.params, mu=mu), spec.n_terms, spec.mode)
-            for t in ts:
-                rows.append(f"{_fmt(t)},{_fmt(mu)},{_fmt(hsv_evaluate(sol, t).value)}")
-        return "t,mu,z", rows
-    if spec.vary == "lambda":
-        for lam in _sweep_values(spec, "lambda"):
-            sol = hsv_iterate(replace(spec.params, lam=lam), spec.n_terms, spec.mode)
-            for t in ts:
-                rows.append(f"{_fmt(t)},{_fmt(lam)},{_fmt(hsv_evaluate(sol, t).value)}")
-        return "t,lambda,z", rows
+    if spec.vary in ("mu", "lambda"):
+        field = "mu" if spec.vary == "mu" else "lam"
+        for v in _sweep_values(spec, spec.vary):
+            sol = hsv_iterate(replace(spec.params, **{field: v}), spec.n_terms, spec.mode)
+            for t, z in zip(ts, hsv_evaluate(sol, ts).value):
+                rows.append(f"{_fmt(t)},{_fmt(v)},{_fmt(z)}")
+        return f"t,{spec.vary},z", rows
     if spec.vary == "both":
         if not (spec.sweep_from is None and spec.sweep_to is None
                 and spec.sweep_step is None):
@@ -289,14 +283,13 @@ def _cmd_surface(spec: RunSpec):
 def _cmd_convergence(spec: RunSpec):
     sol = hsv_iterate(spec.params, spec.n_max, spec.mode)
     ts = _time_grid(spec)
-    per_t = [sol.term_values(t) for t in ts]
-    rows = []
-    for n in range(1, spec.n_max + 1):
-        for t, tv in zip(ts, per_t):
-            partial = sum(tv[: n + 1])
-            rows.append(
-                f"{n},{_fmt(t)},{_fmt(partial)},{_fmt(abs(tv[n]))}"
-            )
+    values = sol.term_values(ts)
+    # x_0 = z0 > 0, so these running sums equal sum() from 0 bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = np.cumsum(values, axis=0)
+    rows = [f"{n},{_fmt(t)},{_fmt(partial)},{_fmt(abs(term))}"
+            for n in range(1, spec.n_max + 1)
+            for t, partial, term in zip(ts, partials[n], values[n])]
     return "n_terms,t,partial_sum,last_term_abs", rows
 
 

@@ -21,7 +21,10 @@ The operations are those of the series functions in
 :mod:`fraclogistic.series` and :mod:`fraclogistic.adomian`, in the same
 order, so the coefficients agree with them bit for bit.
 
-The truncated solution is the partial sum of the terms.  A separate
+The solution keeps that matrix and evaluates a whole time grid at once by
+Horner's rule in t^mu over its columns; the truncated solution adds the
+terms in ascending order, so values match term-by-term evaluation with
+:func:`fraclogistic.series.eval_series` bit for bit.  A separate
 geometric closed form sums the crude surrogate in which every term is
 replaced by z0 * q(t)^i with ratio
 
@@ -68,9 +71,10 @@ __all__ = [
 ]
 
 # Pinned agreement tolerance between the 10-term series and the numerical
-# reference solver on a short horizon (the series is asymptotic in
-# character, so this is a qualitative-validity bound, not a convergence
-# rate claim).
+# reference solver on a short horizon.  The series is Adomian's
+# decomposition of the ABC integral equation and converges inside its
+# radius; the measured agreement is far tighter, so this is a loose
+# qualitative bound, not a convergence rate claim.
 HSV_SOLVER_AGREEMENT_RTOL = 0.05
 
 # Largest truncation order: the cost grows as n^3 and 200 steps take about
@@ -92,21 +96,47 @@ class GeometricForm(NamedTuple):
     ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsvSolution:
-    """Truncated term sequence produced by :func:`hsv_iterate`."""
+    """Terms x_0 .. x_n of :func:`hsv_iterate` as one coefficient matrix.
+
+    Row i of the read-only ``(n+1) x (n+1)`` ``coeffs`` holds x_i's
+    coefficients on the lattice t^(k*mu); entries past column i are zero.
+    """
 
     params: ModelParams
     mode: str
-    terms: tuple
+    coeffs: np.ndarray
 
     @property
     def truncation(self) -> int:
-        return len(self.terms) - 1
+        return len(self.coeffs) - 1
 
-    def term_values(self, t: float) -> list:
-        """Evaluate every term at ``t`` (index i holds x_i(t))."""
-        return [eval_series(x, t) for x in self.terms]
+    @property
+    def terms(self) -> tuple:
+        """The terms x_0 .. x_n as :class:`FracSeries`, built on each access."""
+        mu = self.params.mu
+        return tuple(FracSeries(mu, row[:i + 1]) for i, row in enumerate(self.coeffs))
+
+    def term_values(self, t) -> np.ndarray:
+        """Evaluate every term at ``t``: index i holds x_i(t).
+
+        ``t`` is a time or a 1-d array of times, giving shape ``(n+1,)`` or
+        ``(n+1, len(t))``.  Every t must be finite and >= 0.  Values that
+        overflow come back as inf or nan, without a warning.
+        """
+        flat = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.isfinite(flat).all() or (flat < 0.0).any():
+            raise ValueError(f"term_values requires finite t >= 0, got {t!r}")
+        # libm pow per point, as eval_series: numpy's vectorised power
+        # rounds the last bit differently at some points
+        x = np.array([v ** self.params.mu for v in flat.tolist()])
+        acc = np.zeros((len(self.coeffs), len(x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for column in self.coeffs.T[::-1]:
+                acc = acc * x + column[:, None]
+        acc[:, flat == 0.0] = self.coeffs[:, :1]  # as eval_series, zero signs too
+        return acc if np.ndim(t) else acc[:, 0]
 
 
 def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> HsvSolution:
@@ -163,20 +193,23 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
                 raise ValueError(f"term x_{n + 1} has non-finite coefficients")
             if mode == "general":
                 s[n + 1] = c[n + 1] * delay
-    terms = tuple(FracSeries(mu, c[i, :i + 1]) for i in range(n_terms + 1))
-    return HsvSolution(params=p, mode=mode, terms=terms)
+    c.flags.writeable = False
+    return HsvSolution(params=p, mode=mode, coeffs=c)
 
 
-def hsv_evaluate(sol: HsvSolution, t: float) -> HsvEvaluation:
+def hsv_evaluate(sol: HsvSolution, t) -> HsvEvaluation:
     """Partial sum of the terms at ``t``, with a truncation-error proxy.
 
+    ``t`` is a time or a 1-d array of times, as for
+    :meth:`HsvSolution.term_values`; both fields then have its shape.
     The reported value is the full partial sum.  For mu < 1 the correction
     terms contribute constant parts (1 - mu) * (...), so the value at
     t = 0 deliberately differs from z0: this mirrors the initial jump of
     the nonlocal operator's integral form rather than hiding it.
     """
     values = sol.term_values(t)
-    return HsvEvaluation(value=sum(values), last_term=abs(values[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return HsvEvaluation(value=sum(values), last_term=abs(values[-1]))
 
 
 def psi_kernel(params: ModelParams, t: float) -> float:

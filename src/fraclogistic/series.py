@@ -32,12 +32,7 @@ __all__ = [
     "series_scale",
     "delay_rescale",
     "eval_series",
-    "convolution_check",
 ]
-
-# Trailing coefficients below this magnitude are trimmed by the canonical
-# form (kept only if the series would otherwise be empty).
-_TRIM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -54,8 +49,10 @@ class _LatticeSeries:
             raise ValueError("coeffs must contain at least one entry")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coeffs must all be finite")
+        # trailing zeros are trimmed; a tiny coefficient still matters at
+        # large t, where t^(k*mu) is huge
         n = len(coeffs)
-        while n > 1 and abs(coeffs[n - 1]) < _TRIM_FLOOR:
+        while n > 1 and coeffs[n - 1] == 0.0:
             n -= 1
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "coeffs", coeffs[:n])
@@ -79,16 +76,6 @@ def _require_compatible(a: _LatticeSeries, b: _LatticeSeries) -> None:
         )
     if a.mu != b.mu:
         raise ValueError(f"series order mismatch: {a.mu} != {b.mu}")
-
-
-def _cauchy(a: tuple, b: tuple) -> list:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 def sumudu_forward(s: FracSeries) -> SumuduSeries:
@@ -122,7 +109,13 @@ def kernel_multiply(S: SumuduSeries) -> SumuduSeries:
 def series_product(a: FracSeries, b: FracSeries) -> FracSeries:
     """Cauchy product; valid because ``t^(i*mu) * t^(j*mu) = t^((i+j)*mu)``."""
     _require_compatible(a, b)
-    return FracSeries(a.mu, tuple(_cauchy(a.coeffs, b.coeffs)))
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0.0:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] += ai * bj
+    return FracSeries(a.mu, tuple(out))
 
 
 def series_add(a, b):
@@ -166,35 +159,3 @@ def eval_series(s: FracSeries, t: float) -> float:
     for c in reversed(s.coeffs):
         acc = acc * x + c
     return acc
-
-
-def convolution_check(f: FracSeries, g: FracSeries, rtol: float = 1e-12) -> bool:
-    """Verify ``S[(f*g)(t)] = u * S[f](u) * S[g](u)`` on integer powers.
-
-    Only the classical case ``mu == 1`` is supported, where the time-domain
-    convolution of monomials is elementary:
-    ``t^i * t^j = B(i+1, j+1) t^(i+j+1)`` with the Beta function ``B``.
-
-    Returns True when the transform of the convolution agrees
-    coefficientwise (to ``rtol``) with the shifted Cauchy product of the
-    individual transforms.
-    """
-    if f.mu != 1.0 or g.mu != 1.0:
-        raise NotImplementedError("convolution_check supports only mu == 1")
-    conv = [0.0] * (len(f) + len(g))
-    for i, fi in enumerate(f.coeffs):
-        for j, gj in enumerate(g.coeffs):
-            beta = math.exp(
-                math.lgamma(i + 1.0) + math.lgamma(j + 1.0) - math.lgamma(i + j + 2.0)
-            )
-            conv[i + j + 1] += fi * gj * beta
-    lhs = sumudu_forward(FracSeries(1.0, tuple(conv))).coeffs
-    prod = _cauchy(sumudu_forward(f).coeffs, sumudu_forward(g).coeffs)
-    rhs = tuple([0.0] + prod)
-    n = max(len(lhs), len(rhs))
-    lhs = lhs + (0.0,) * (n - len(lhs))
-    rhs = rhs + (0.0,) * (n - len(rhs))
-    for x, y in zip(lhs, rhs):
-        if abs(x - y) > rtol * max(abs(x), abs(y), 1e-30):
-            return False
-    return True

@@ -18,12 +18,11 @@ integral I^mu[f](t) = int_0^t (t - s)^(mu-1) f(s) ds.
 
 The singular integral uses product integration on a uniform grid:
 the smooth factor f is replaced by its piecewise-linear interpolant
-(product trapezoid, the default) or piecewise-constant left-endpoint
-interpolant (rectangle fallback), and the kernel is integrated exactly
-against it.  The history weights depend only on the lag n - j, so the
-history sum is a discrete convolution: pairs within one aligned block of
-64 nodes are summed directly, longer-range pairs in doubling blocks by
-FFT (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
+(product trapezoid), and the kernel is integrated exactly against it.
+The history weights depend only on the lag n - j, so the history sum is
+a discrete convolution: pairs within one aligned block of 64 nodes are
+summed directly, longer-range pairs in doubling blocks by FFT (Hairer,
+Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
 A run of M steps costs O(M log^2 M) and gives the direct sum's values up
 to rounding.
 
@@ -78,8 +77,6 @@ _MAX_STEPS = 2_000_000
 # History pairs closer than one aligned block are summed directly.
 _BLOCK = 64
 
-QUADRATURES = ("trapezoid", "rectangle")
-
 
 class OperatorKind(enum.Enum):
     """Fractional operator selector for the numerical solvers."""
@@ -91,12 +88,11 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Operator, grid and quadrature rule for :func:`solve`."""
+    """Operator and grid for :func:`solve`."""
 
     operator: OperatorKind
     t_end: float
     h: float
-    quadrature: str = "trapezoid"
 
     def __post_init__(self):
         op = self.operator
@@ -119,10 +115,6 @@ class SolveConfig:
             raise ValueError(f"t_end/h must not exceed {_MAX_STEPS:g}")
         object.__setattr__(self, "t_end", t_end)
         object.__setattr__(self, "h", h)
-        if self.quadrature not in QUADRATURES:
-            raise ValueError(
-                f"quadrature must be one of {QUADRATURES}, got {self.quadrature!r}"
-            )
 
 
 @dataclass
@@ -141,25 +133,20 @@ class OperatorComparison(NamedTuple):
     caputo: Trajectory
 
 
-def _lag_weights(mu: float, size: int, trapezoid: bool) -> tuple:
-    """Unscaled history weights of the power-law kernel for lags 0..size.
+def _lag_weights(mu: float, size: int) -> tuple:
+    """Unscaled product-trapezoid weights of the power-law kernel, lags 0..size.
 
     Returns ``(w, end)``: ``w[m]`` weights f(t_{n-m}) in the history sum
     of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0 term adds on
-    top of ``w[n]`` (the product-trapezoid end weight; zero for the
-    rectangle rule).
+    top of ``w[n]`` to make the end weight.
     """
     k = np.arange(size + 2, dtype=float)
     w = np.zeros(size + 1)
     end = np.zeros(size + 1)
-    if trapezoid:
-        kp = k ** (mu + 1.0)
-        w[1:] = kp[2:] + kp[:-2] - 2.0 * kp[1:-1]
-        n = k[1:-1]
-        end[1:] = kp[:-2] - n ** mu * (n - mu - 1.0) - w[1:]
-    else:
-        km = k[:-1] ** mu
-        w[1:] = km[1:] - km[:-1]
+    kp = k ** (mu + 1.0)
+    w[1:] = kp[2:] + kp[:-2] - 2.0 * kp[1:-1]
+    n = k[1:-1]
+    end[1:] = kp[:-2] - n ** mu * (n - mu - 1.0) - w[1:]
     return w, end
 
 
@@ -246,7 +233,6 @@ def solve(
         z[n] = zn
         f_hist[n] = logistic_rhs(p, zn, a + b * zn, forcing)
 
-    trapezoid = cfg.quadrature == "trapezoid"
     op = cfg.operator
 
     if op is OperatorKind.ABC:
@@ -270,31 +256,20 @@ def solve(
     f0 = float(f_hist[0])
 
     if op is OperatorKind.CFC:
-        if trapezoid:
-            diag = c_point + c_quad * 0.5 * h
-        else:
-            diag = c_point
+        diag = c_point + c_quad * 0.5 * h
         base0 = z0 - c_point * f0
         integral = 0.0  # quadrature over completed cells
         for n in range(1, n_steps + 1):
             f_prev = f_hist.item(n - 1)
-            if trapezoid:
-                step(n, base0 + c_quad * (integral + 0.5 * h * f_prev), diag)
-                integral += 0.5 * h * (f_prev + f_hist.item(n))
-            else:
-                integral += h * f_prev
-                step(n, base0 + c_quad * integral, diag)
+            step(n, base0 + c_quad * (integral + 0.5 * h * f_prev), diag)
+            integral += 0.5 * h * (f_prev + f_hist.item(n))
     else:
-        w, end = _lag_weights(mu, max(n_steps, _BLOCK), trapezoid)
+        w, end = _lag_weights(mu, max(n_steps, _BLOCK))
         # far[n]: history of node n from nodes in earlier blocks, plus the
         # j = 0 end correction
         far = end[:n_steps + 1] * f0
-        if trapezoid:
-            w_scale = h ** mu / (mu * (mu + 1.0))
-            diag = c_point + c_quad * w_scale
-        else:
-            w_scale = h ** mu / mu
-            diag = c_point
+        w_scale = h ** mu / (mu * (mu + 1.0))
+        diag = c_point + c_quad * w_scale
         near = w[_BLOCK:0:-1]  # near[i] = w[_BLOCK - i]
         spectra = {}  # rfft of w[1:2P], by piece length P
 

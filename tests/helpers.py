@@ -47,7 +47,6 @@ def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
     z = np.zeros(steps + 1)
     f = np.zeros(steps + 1)
     op = cfg.operator
-    trapezoid = cfg.quadrature == "trapezoid"
     singular = op is not OperatorKind.CFC
     c_point = 0.0 if op is OperatorKind.CAPUTO else (1.0 - mu) / p.b_norm
     if op is OperatorKind.ABC:
@@ -87,27 +86,50 @@ def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
     for n in range(1, steps + 1):
         if singular:
             m = n - np.arange(n, dtype=float)  # distance n - j for j = 0..n-1
-            if trapezoid:
-                scale = h ** mu / (mu * (mu + 1.0))
-                w = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
-                w[0] = (n - 1.0) ** (mu + 1.0) - n ** mu * (n - mu - 1.0)
-                diag = c_point + c_quad * scale
-            else:
-                scale = h ** mu / mu
-                w = m ** mu - (m - 1.0) ** mu
-                diag = c_point
+            scale = h ** mu / (mu * (mu + 1.0))
+            w = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
+            w[0] = (n - 1.0) ** (mu + 1.0) - n ** mu * (n - mu - 1.0)
+            diag = c_point + c_quad * scale
             base = p.z0 + c_quad * scale * float(np.dot(w, f[:n]))
         else:
-            if trapezoid:
-                integral = h * (0.5 * f[0] + float(np.sum(f[1:n])))
-                diag = c_point + 0.5 * h * c_quad
-            else:
-                integral = h * float(np.sum(f[:n]))
-                diag = c_point
+            integral = h * (0.5 * f[0] + float(np.sum(f[1:n])))
+            diag = c_point + 0.5 * h * c_quad
             base = p.z0 - c_point * f[0] + c_quad * integral
         z[n] = fixed_point(n, base, diag)
         f[n] = rhs(n, z[n])
     return z
+
+
+def convolution_check(f, g, rtol=1e-12):
+    """Verify ``S[(f*g)(t)] = u * S[f](u) * S[g](u)`` on integer powers.
+
+    Only the classical case ``mu == 1`` is supported, where the time-domain
+    convolution of monomials is elementary:
+    ``t^i * t^j = B(i+1, j+1) t^(i+j+1)`` with the Beta function ``B``.
+
+    Returns True when the transform of the convolution agrees
+    coefficientwise (to ``rtol``) with the shifted Cauchy product of the
+    individual transforms.
+    """
+    if f.mu != 1.0 or g.mu != 1.0:
+        raise NotImplementedError("convolution_check supports only mu == 1")
+    conv = [0.0] * (len(f) + len(g))
+    for i, fi in enumerate(f.coeffs):
+        for j, gj in enumerate(g.coeffs):
+            beta = math.exp(
+                math.lgamma(i + 1.0) + math.lgamma(j + 1.0) - math.lgamma(i + j + 2.0)
+            )
+            conv[i + j + 1] += fi * gj * beta
+    lhs = sumudu_forward(FracSeries(1.0, tuple(conv))).coeffs
+    prod = np.convolve(sumudu_forward(f).coeffs, sumudu_forward(g).coeffs)
+    rhs = (0.0, *prod)
+    n = max(len(lhs), len(rhs))
+    lhs = lhs + (0.0,) * (n - len(lhs))
+    rhs = rhs + (0.0,) * (n - len(rhs))
+    for x, y in zip(lhs, rhs):
+        if abs(x - y) > rtol * max(abs(x), abs(y), 1e-30):
+            return False
+    return True
 
 
 def reference_hsv_iterate(params, n_terms, mode="general"):

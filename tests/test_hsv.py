@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from fraclogistic import (
     ConvergenceError,
     FracSeries,
     ModelParams,
+    eval_series,
     gamma_fn,
     geometric_closed_form,
     geometric_gap,
@@ -194,6 +197,69 @@ def test_overflowing_coefficients_raise():
         reference_hsv_iterate(p, 3)
     with pytest.raises(ValueError, match="non-finite"):
         hsv_iterate(p, 3)
+
+
+def _termwise(sol, t):
+    """Partial sum and last term from eval_series over the FracSeries terms."""
+    values = [eval_series(x, t) for x in sol.terms]
+    return sum(values), abs(values[-1])
+
+
+@pytest.mark.parametrize("mode", ["general", "square"])
+@pytest.mark.parametrize("mu", [0.3, 0.7, 0.9, 1.0])
+def test_array_evaluation_matches_scalar_and_termwise_exactly(mu, mode):
+    p = ModelParams(r=0.8, k=100.0, z0=10.0, mu=mu, lam=0.37)
+    sol = hsv_iterate(p, 30, mode)
+    ts = np.concatenate([np.linspace(0.0, 10.0, 101), [1e-300, 0.3, 1e3, 1e300]])
+    out = hsv_evaluate(sol, ts)
+    assert out.value.shape == out.last_term.shape == ts.shape
+    termwise = np.array([_termwise(sol, t) for t in ts.tolist()])
+    scalar = np.array([tuple(hsv_evaluate(sol, t)) for t in ts.tolist()])
+    # equal bit for bit; the overflowing points are nan in every route
+    np.testing.assert_array_equal(out.value, termwise[:, 0])
+    np.testing.assert_array_equal(out.last_term, termwise[:, 1])
+    np.testing.assert_array_equal(scalar, termwise)
+    assert np.isnan(out.value[-1])
+    for term, row in zip(sol.terms, sol.term_values(ts)):
+        np.testing.assert_array_equal(row, [eval_series(term, t) for t in ts.tolist()])
+
+
+@pytest.mark.parametrize("bad", [[0.0, -1.0], [1.0, np.nan], [np.inf], -1e-9])
+def test_negative_or_non_finite_times_raise(bad):
+    sol = hsv_iterate(BASE, 4)
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        hsv_evaluate(sol, np.array(bad))
+
+
+def test_divergent_evaluation_is_silent():
+    sol = hsv_iterate(ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.9, lam=0.5), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hsv_evaluate(sol, np.array([1e200, 1e300]))
+        scalar = hsv_evaluate(sol, 1e300)
+        values = sol.term_values(1e300)
+    assert not np.isfinite(out.value).any()
+    assert not np.isfinite(scalar.value) and not np.isfinite(values).all()
+
+
+def test_tiny_coefficients_are_kept():
+    # x_120 has a coefficient near 1.5e-303 on t^60; at t = 1e5 that is
+    # 1.5e-3, a tenth of the term, so it must not be trimmed
+    p = ModelParams(r=0.01, k=100.0, z0=10.0, mu=0.5, lam=1.0)
+    sol = hsv_iterate(p, 200)
+    t = 1e5
+    term = sol.terms[120]
+    assert len(term.coeffs) == 121
+    exact = math.fsum(c * t ** (k * p.mu) for k, c in enumerate(sol.coeffs[120, :121]))
+    assert eval_series(term, t) == pytest.approx(exact, rel=1e-12)
+    assert sol.term_values(t)[120] == eval_series(term, t)
+
+
+def test_solution_is_read_only():
+    sol = hsv_iterate(BASE, 3)
+    assert sol.coeffs.shape == (4, 4)
+    with pytest.raises(ValueError):
+        sol.coeffs[1, 0] = 1.0
 
 
 class TestGeometricForm:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from fraclogistic import (
     FracSeries,
     SumuduSeries,
-    convolution_check,
     delay_rescale,
     eval_series,
     gamma_fn,
@@ -18,13 +17,17 @@ from fraclogistic import (
     sumudu_forward,
     sumudu_inverse,
 )
-from helpers import assert_series_close, random_frac_series
+from helpers import assert_series_close, convolution_check, random_frac_series
 
 
 class TestConstruction:
     def test_trailing_zeros_trimmed(self):
         s = FracSeries(0.5, (1.0, 2.0, 0.0, 0.0))
         assert s.coeffs == (1.0, 2.0)
+        # only exact zeros go: 1e-303 * t^2 is 10 at t = 1e152
+        tiny = FracSeries(1.0, (1.0, 0.0, 1e-303, -0.0))
+        assert tiny.coeffs == (1.0, 0.0, 1e-303)
+        assert eval_series(tiny, 1e152) == pytest.approx(11.0, rel=1e-12)
 
     def test_zero_series_keeps_one_entry(self):
         assert FracSeries(0.5, (0.0, 0.0)).coeffs == (0.0,)

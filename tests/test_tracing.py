@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from fraclogistic import cli
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -28,3 +30,21 @@ def test_tracer_installs_and_restores(capsys):
     capsys.readouterr()
     assert tracer.counts["hsv.terms"] == 5
     assert cli.hsv_iterate is original
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (["hsv", "--points", "11"], 11),
+    # ten lambda values, 11 terms each
+    (["surface", "--vary", "lambda", "--points", "11"], 110),
+])
+def test_traced_series_commands_match_untraced(capsys, argv, terms):
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+    assert tracer.counts["hsv.terms"] == terms
