@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from . import special
 from .errors import SingularParameterError
 from .model import ModelParams
-from .special import mittag_leffler
+
+# perfbench/tracing.py wraps this name; calls go through ``special`` so that
+# array arguments bypass its scalar-only wrapper.
+from .special import mittag_leffler  # noqa: F401
 
 __all__ = [
     "classical_exact",
@@ -60,7 +66,7 @@ def lambda0_amplitude(p: ModelParams) -> float:
     return p.b_norm * p.z0 / den
 
 
-def abc_exact_lambda0(p: ModelParams, t: float) -> float:
+def abc_exact_lambda0(p: ModelParams, t):
     """Exact solution of the constant-feedback (lam = 0) fractional model.
 
         z(t) = A * E_mu(q * t^mu),
@@ -69,12 +75,19 @@ def abc_exact_lambda0(p: ModelParams, t: float) -> float:
     a Mittag-Leffler-enhanced Malthusian growth law.  At mu = 1 it
     collapses to ``z0 * exp(r (1 - z0/k) t)``.  Note ``z(0) = A``, not z0,
     for mu < 1 (see :func:`lambda0_amplitude`).
+
+    ``t`` is a time or a 1-d array of times, giving a float or an array;
+    every t must be finite and >= 0.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
+    ts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(ts)
+    if not np.isfinite(flat).all() or (flat < 0.0).any():
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     den = _lambda0_denominator(p)
     amp = lambda0_amplitude(p)
     rate = p.r * (1.0 - p.z0 / p.k) * p.mu / den
-    power = 0.0 if t == 0.0 else t ** p.mu
-    return amp * mittag_leffler(p.mu, rate * power)
+    # libm pow per point, as HsvSolution.term_values
+    power = np.array([v ** p.mu for v in flat.tolist()])
+    with np.errstate(over="ignore"):  # inf, as Python floats give
+        z = amp * special.mittag_leffler(p.mu, rate * power)
+    return z if ts.ndim else float(z[0])

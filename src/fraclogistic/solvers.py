@@ -76,6 +76,21 @@ __all__ = [
 _MAX_STEPS = 2_000_000
 # History pairs closer than one aligned block are summed directly.
 _BLOCK = 64
+# Lag weights: 12 Gauss-Legendre nodes, mapped to [0, 1] with the factor
+# (1 - s) folded into the weights, resolve (1 + s)^(mu-1) to rounding; from
+# lag 64 on, 9 series terms in 1/m leave a remainder below 1e-18 relative.
+# The positive half of numpy.polynomial.legendre.leggauss(12), which is not
+# imported at run time.
+_GL_HALF = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                     0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_HALF_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546,
+                             0.20316742672306573, 0.16007832854334642,
+                             0.10693932599531907, 0.04717533638651141])
+_GL_NODES = 0.5 * (np.concatenate((-_GL_HALF[::-1], _GL_HALF)) + 1.0)
+_GL_WEIGHTS = (0.5 * np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
+               * (1.0 - _GL_NODES))
+_SERIES_LAG = 64
+_SERIES_TERMS = 9
 
 
 class OperatorKind(enum.Enum):
@@ -139,14 +154,46 @@ def _lag_weights(mu: float, size: int) -> tuple:
     Returns ``(w, end)``: ``w[m]`` weights f(t_{n-m}) in the history sum
     of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0 term adds on
     top of ``w[n]`` to make the end weight.
+
+    With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
+    p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
+    larger, so they are formed from Taylor's remainder instead,
+
+        w[m]   = p mu (I(m, 1) + I(m, -1)),    m >= 2,
+        w[1]   = p mu I(1, 1) + mu,
+        end[n] = -p mu I(n, 1),
+        I(m, e) = int_0^1 (1 - s) (m + e s)^(mu - 1) ds,
+
+    whose integrands are positive.  Below ``_SERIES_LAG`` I is summed by
+    Gauss-Legendre quadrature; from there on by its series in x = 1/m,
+    ``m^(mu-1) sum_j C(mu-1, j) (e x)^j / ((j+1)(j+2))``, split into even
+    and odd powers.
     """
-    k = np.arange(size + 2, dtype=float)
+    c = mu * (mu + 1.0)
     w = np.zeros(size + 1)
     end = np.zeros(size + 1)
-    kp = k ** (mu + 1.0)
-    w[1:] = kp[2:] + kp[:-2] - 2.0 * kp[1:-1]
-    n = k[1:-1]
-    end[1:] = kp[:-2] - n ** mu * (n - mu - 1.0) - w[1:]
+    near = np.arange(1.0, min(_SERIES_LAG, size + 1))
+    plus = (near[:, None] + _GL_NODES) ** (mu - 1.0) @ _GL_WEIGHTS
+    minus = (near[1:, None] - _GL_NODES) ** (mu - 1.0) @ _GL_WEIGHTS
+    w[1] = c * plus[0] + mu
+    w[2:len(near) + 1] = c * (plus[1:] + minus)
+    end[1:len(near) + 1] = -c * plus
+    if size >= _SERIES_LAG:
+        far = np.arange(float(_SERIES_LAG), size + 1)
+        x = 1.0 / far
+        x2 = x * x
+        coef = [1.0]  # C(mu-1, j)
+        for j in range(1, _SERIES_TERMS):
+            coef.append(coef[-1] * (mu - j) / j)
+        a = [cj / ((j + 1) * (j + 2)) for j, cj in enumerate(coef)]
+        even = odd = 0.0
+        for aj in reversed(a[0::2]):
+            even = even * x2 + aj
+        for aj in reversed(a[1::2]):
+            odd = odd * x2 + aj
+        scale = c * far ** (mu - 1.0)
+        w[_SERIES_LAG:] = 2.0 * scale * even
+        end[_SERIES_LAG:] = -scale * (even + x * odd)
     return w, end
 
 

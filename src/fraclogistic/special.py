@@ -11,6 +11,12 @@ parabola ``s(u) = mu_c (1 + iu)^2`` (R. Garrappa, "Numerical evaluation of
 two and three parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53
 (2015) 1350-1369).  For mu < 1 and x < 0 the transform has no pole on the
 principal sheet, so one fixed set of nodes serves every order and argument.
+
+:func:`mittag_leffler` takes a float or a whole 1-d array of arguments and
+evaluates every point of one route together: the series a block of terms
+at a time for all points, the contour a chunk of points at a time for all
+55 nodes.  Each point's arithmetic does not depend on the other points, so
+an array gives exactly the values of one scalar call per point.
 """
 
 from __future__ import annotations
@@ -25,9 +31,13 @@ from .errors import ConvergenceError
 __all__ = ["gamma_fn", "mittag_leffler"]
 
 _MAX_TERMS = 100_000
-# Relative truncation threshold of the series: stop once, past the largest
-# term, ``term < _CUTOFF * partial sum``.
+# Relative truncation threshold of the series: stop once
+# ``term <= _CUTOFF * partial sum``.
 _CUTOFF = 1e-16
+# Series terms per point in the first block, and the most terms (or contour
+# node-point pairs) formed at once over all points, 256 kB per matrix.
+_BLOCK = 32
+_CELLS = 1 << 15
 
 
 # Garrappa's optimal contour for a pole-free region at t = 1 and tolerance
@@ -69,59 +79,115 @@ def gamma_fn(x: float) -> float:
     return math.exp(math.lgamma(x))
 
 
-def mittag_leffler(mu: float, arg: float) -> float:
-    """Evaluate ``E_mu(arg)`` for order 0 < mu <= 1 and a finite real ``arg``.
+def mittag_leffler(mu: float, arg):
+    """Evaluate ``E_mu(arg)`` for order 0 < mu <= 1 and finite real arguments.
 
-    ``exp(arg)`` for mu == 1; otherwise the compensated series for arg > 0
-    and the contour inversion for arg < 0, which is within about 2e-15
-    absolute on [-200, 0) and capped at 1.  Results exceeding the double
-    range are reported as ``inf``; a series that has not converged after
-    100000 terms raises :class:`ConvergenceError` carrying ``arg``.
+    ``arg`` is a float or a 1-d array; a float gives a float and an array an
+    array of its length, each point computed exactly as a scalar call would.
+    ``exp(arg)`` (libm, per point) for mu == 1; otherwise the compensated
+    series for arg > 0 and the contour inversion for arg < 0, which is
+    within about 2e-15 absolute on [-200, 0) and capped at 1.  Results
+    exceeding the double range are reported as ``inf``; a series that has
+    not converged after 100000 terms raises :class:`ConvergenceError`
+    carrying the first such argument.  Any non-finite ``arg`` or ``mu``
+    outside (0, 1] raises ``ValueError``.
     """
     mu = float(mu)
-    arg = float(arg)
     if not math.isfinite(mu) or not 0.0 < mu <= 1.0:
         raise ValueError(f"mittag_leffler requires mu in (0, 1], got {mu!r}")
-    if not math.isfinite(arg):
-        raise ValueError(f"mittag_leffler requires a finite argument, got {arg!r}")
+    x = np.asarray(arg, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"mittag_leffler takes a float or a 1-d array, got shape {x.shape}")
+    flat = np.atleast_1d(x)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"mittag_leffler requires finite arguments, got {arg!r}")
 
     if mu == 1.0:
-        try:
-            return math.exp(arg)
-        except OverflowError:
-            return math.inf
-    if arg == 0.0:
-        return 1.0
-    if arg > 0.0:
-        return _series_float(mu, arg)
-    s_mu = np.exp(mu * _LOG_S)
+        out = np.array([_exp(v) for v in flat.tolist()], dtype=float)
+    else:
+        out = np.ones(len(flat))
+        pos = flat > 0.0
+        if pos.any():
+            out[pos] = _series(mu, flat[pos])
+        neg = flat < 0.0
+        if neg.any():
+            out[neg] = _contour(mu, flat[neg])
+    return out if x.ndim else float(out[0])
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _contour(mu: float, x: np.ndarray) -> np.ndarray:
+    """Trapezoidal rule on the parabola for x < 0.
+
+    Points go in chunks of at most ``_CELLS`` node-point pairs, and each
+    point's 55 contributions are accumulated in node order.
+    """
+    s_mu = np.exp(mu * _LOG_S)[:, None]
+    out = np.empty(len(x))
+    chunk = _CELLS // len(_WEIGHTS)
+    for lo in range(0, len(x), chunk):
+        part = _WEIGHTS[:, None] * (s_mu / (s_mu - x[lo:lo + chunk]))
+        out[lo:lo + chunk] = np.cumsum(part, axis=0)[-1].real
     # E_mu(x) lies in (0, 1] for x < 0; the rounding error of about 2e-15
     # would otherwise push tiny arguments just above 1.
-    return min(float(np.dot(_WEIGHTS, s_mu / (s_mu - arg)).real), 1.0)
+    return np.minimum(out, 1.0)
 
 
-def _series_float(mu: float, x: float) -> float:
-    """Kahan-compensated summation of the defining series, x > 0."""
-    total = 1.0
-    comp = 0.0
-    prev_term = math.inf
-    lx = math.log(x)
-    for n in range(1, _MAX_TERMS + 1):
-        try:
-            term = math.exp(n * lx - math.lgamma(n * mu + 1.0))
-        except OverflowError:
-            return math.inf
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if not math.isfinite(total):
-            return total
-        if term < prev_term and term <= _CUTOFF * total:
-            return total
-        prev_term = term
+def _series(mu: float, x: np.ndarray) -> np.ndarray:
+    """Compensated summation of the defining series, x > 0.
+
+    Terms are formed a block at a time, row n - first of a (block, points)
+    matrix, with one ``np.exp`` per block; a block starts at ``_BLOCK``
+    terms and doubles, capped at ``_CELLS`` terms over the points left.
+    The running sums are a plain cumulative sum; their rounding errors are
+    recovered exactly (Fast2Sum on the ordered pair) and summed separately
+    (Neumaier), so each point gets the same result whatever the blocks and
+    the other points.  A point stops at the first term below ``_CUTOFF``
+    of the running sum, or at the first infinite sum.  The terms are
+    log-concave in n (lgamma is convex), so up to the peak each term is at
+    least the average of the sum so far, and a term that small is past the
+    peak.
+    """
+    lx = np.log(x)
+    out = np.empty(len(x))
+    active = np.arange(len(x))
+    total = np.ones(len(x))
+    comp = np.zeros(len(x))
+    first, size = 1, _BLOCK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while first <= _MAX_TERMS:
+            block = max(1, min(size, _CELLS // len(active), _MAX_TERMS + 1 - first))
+            lg = np.array([math.lgamma(n * mu + 1.0) for n in range(first, first + block)])
+            terms = np.exp(np.arange(first, first + block, dtype=float)[:, None] * lx
+                           - lg[:, None])
+            sums = np.cumsum(np.concatenate((total[None], terms)), axis=0)
+            before, after = sums[:-1], sums[1:]
+            larger = np.maximum(before, terms)
+            errors = np.minimum(before, terms) - (after - larger)
+            errors[0] += comp
+            comps = np.cumsum(errors, axis=0)
+            stop = (terms <= _CUTOFF * after) | (after == math.inf)
+            # columns without a stop get a value here that a later block replaces
+            at, cols = stop.argmax(axis=0), np.arange(len(active))
+            final = after[at, cols]
+            out[active] = np.where(final < math.inf, final + comps[at, cols], final)
+            done = stop.any(axis=0)
+            if done.all():
+                return out
+            keep = ~done
+            active, lx = active[keep], lx[keep]
+            total, comp = after[-1, keep], comps[-1, keep]
+            first += block
+            size *= 2
+    bad = float(x[active[0]])
     raise ConvergenceError(
         f"Mittag-Leffler series of order {mu} did not converge in "
-        f"{_MAX_TERMS} terms at argument {x}",
-        ratio=x,
+        f"{_MAX_TERMS} terms at argument {bad}",
+        ratio=bad,
     )

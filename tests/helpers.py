@@ -1,7 +1,9 @@
 """Shared assertions and generators for the test suite."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 
 from fraclogistic import (
@@ -31,6 +33,29 @@ def random_frac_series(rng, mu, length, scale=2.0):
     return FracSeries(mu, coeffs)
 
 
+def exact_lag_weights(mu, lags):
+    """``(w, end)`` of the product trapezoid at the given lags >= 1, from 40-digit powers.
+
+    With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[m] =
+    p m^mu + m^p - (m+1)^p``: the arrays of
+    :func:`fraclogistic.solvers._lag_weights`, where node n's j = 0 weight
+    is ``w[n] + end[n]``.
+    """
+    lags = list(lags)
+    with mpmath.workdps(40):
+        p = mpmath.mpf(mu) + 1
+        power = {k: mpmath.mpf(k) ** p for k in {m + d for m in lags for d in (-1, 0, 1)}}
+        w = [power[m + 1] + power[m - 1] - 2 * power[m] for m in lags]
+        end = [p * power[m] / m + power[m] - power[m + 1] for m in lags]
+        return np.array([float(v) for v in w]), np.array([float(v) for v in end])
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_weights(mu, steps):
+    w, end = exact_lag_weights(mu, range(1, steps + 1))
+    return np.concatenate(([0.0], w)), np.concatenate(([0.0], end))
+
+
 def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
                     max_sweeps=100_000):
     """Values of the product-integration scheme, computed the slow direct way.
@@ -39,7 +64,8 @@ def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
     is a direct O(n) dot product (O(M^2) per run) and every implicit step is
     a plain fixed-point iteration run until successive iterates agree to
     ``tol`` relative.  A step that does not get there in ``max_sweeps``
-    sweeps fails the calling test instead of returning a guess.
+    sweeps fails the calling test instead of returning a guess.  The
+    product-trapezoid weights come from :func:`exact_lag_weights`.
     """
     p = params
     h, mu = cfg.h, p.mu
@@ -85,10 +111,10 @@ def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
     f[0] = rhs(0, z[0])
     for n in range(1, steps + 1):
         if singular:
-            m = n - np.arange(n, dtype=float)  # distance n - j for j = 0..n-1
+            lag_w, lag_end = _reference_weights(mu, steps)
+            w = lag_w[n - np.arange(n)]  # distance n - j for j = 0..n-1
+            w[0] += lag_end[n]
             scale = h ** mu / (mu * (mu + 1.0))
-            w = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
-            w[0] = (n - 1.0) ** (mu + 1.0) - n ** mu * (n - mu - 1.0)
             diag = c_point + c_quad * scale
             base = p.z0 + c_quad * scale * float(np.dot(w, f[:n]))
         else:

@@ -120,3 +120,40 @@ class TestLambdaZeroForm:
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)
         with pytest.raises(ValueError):
             abc_exact_lambda0(p, -0.5)
+
+
+class TestLambdaZeroGrid:
+    # growth (q > 0), decay from above capacity (q < 0), the classical
+    # limit, and growth fast enough to overflow
+    @pytest.mark.parametrize("p", [
+        ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.7, lam=0.0),
+        ModelParams(r=8.0, k=100.0, z0=200.0, mu=0.5, lam=0.0),
+        ModelParams(r=0.3, k=100.0, z0=10.0, mu=1.0, lam=0.0),
+        ModelParams(r=0.9, k=100.0, z0=10.0, mu=0.5, lam=0.0),
+    ], ids=["growth", "decay", "mu-one", "overflow"])
+    def test_array_matches_scalar_exactly(self, p):
+        ts = np.concatenate(([0.0, 1e-300], np.linspace(0.0, 3000.0, 241)))
+        values = abc_exact_lambda0(p, ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        assert values.tolist() == [abc_exact_lambda0(p, t) for t in ts.tolist()]
+
+    def test_overflow_reports_inf(self):
+        # q t^mu reaches about 37 at t = 3000, and E_0.5(x) ~ 2 exp(x^2)
+        p = ModelParams(r=0.9, k=100.0, z0=10.0, mu=0.5, lam=0.0)
+        values = abc_exact_lambda0(p, np.array([1.0, 3000.0]))
+        assert math.isfinite(values[0]) and values[1] == math.inf
+
+    def test_zero_dimensional_input_returns_float(self):
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)
+        value = abc_exact_lambda0(p, np.float64(1.0))
+        assert type(value) is float
+        assert type(abc_exact_lambda0(p, np.array(1.0))) is float
+        assert value == abc_exact_lambda0(p, 1.0)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_one_bad_time_in_array_raises(self, bad):
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)
+        ts = np.linspace(0.0, 5.0, 11)
+        ts[4] = bad
+        with pytest.raises(ValueError):
+            abc_exact_lambda0(p, ts)

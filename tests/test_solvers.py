@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import reference_solve
+from helpers import exact_lag_weights, reference_solve
 
 from fraclogistic import (
     ModelParams,
@@ -15,6 +15,7 @@ from fraclogistic import (
     lambda0_amplitude,
     solve,
 )
+from fraclogistic.solvers import _GL_HALF, _GL_HALF_WEIGHTS, _MAX_STEPS, _lag_weights
 
 
 def max_rel(a, b):
@@ -40,7 +41,7 @@ class TestLambdaZeroOracle:
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=mu, lam=0.0)
         cfg = SolveConfig(operator="abc", t_end=3.0, h=2e-3)
         traj = solve(p, cfg)
-        exact = np.array([abc_exact_lambda0(p, t) for t in traj.grid[1:]])
+        exact = abc_exact_lambda0(p, traj.grid[1:])
         assert max_rel(traj.values[1:], exact) < 1e-3
 
     def test_initial_node_is_jump_amplitude(self):
@@ -208,3 +209,30 @@ class TestReferenceEquivalence:
         got = solve(p, cfg).values
         ref = reference_solve(p, cfg)
         assert max_rel(got, ref) <= 1e-10
+
+
+class TestLagWeights:
+    # every lag below 300 (both sides of the switch from quadrature to the
+    # 1/m series), then decades up to the largest step count
+    LAGS = [*range(1, 300), 10**3, 2 * 10**4, 10**5, 10**6, _MAX_STEPS - 1, _MAX_STEPS]
+
+    @pytest.mark.parametrize("mu", [0.3, 0.9])
+    def test_against_extended_precision(self, mu):
+        w, end = _lag_weights(mu, _MAX_STEPS)
+        ref_w, ref_end = exact_lag_weights(mu, self.LAGS)
+        assert w[0] == 0.0 and end[0] == 0.0
+        np.testing.assert_allclose(w[self.LAGS], ref_w, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(end[self.LAGS], ref_end, rtol=1e-14, atol=0.0)
+
+    def test_gauss_legendre_table(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert _GL_HALF.tolist() == nodes[6:].tolist() == (-nodes[5::-1]).tolist()
+        assert _GL_HALF_WEIGHTS.tolist() == weights[6:].tolist() == weights[5::-1].tolist()
+
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65])
+    def test_short_runs(self, size):
+        w, end = _lag_weights(0.7, size)
+        assert len(w) == len(end) == size + 1
+        ref_w, ref_end = exact_lag_weights(0.7, range(1, size + 1))
+        np.testing.assert_allclose(w[1:], ref_w, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(end[1:], ref_end, rtol=1e-14, atol=0.0)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -62,14 +63,14 @@ def test_ml_monotone_increasing_positive_axis():
     # argument where the value leaves the double range
     for mu in (0.2, 0.5, 0.8, 1.0):
         t_max = 0.8 * 709.0 ** mu
-        values = [mittag_leffler(mu, t) for t in np.linspace(0.0, min(t_max, 30.0), 121)]
+        values = mittag_leffler(mu, np.linspace(0.0, min(t_max, 30.0), 121))
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_ml_negative_axis_completely_monotone_bounds():
     xs = np.linspace(0.0, 40.0, 81)
     for mu in (0.1, 0.3, 0.5, 0.75, 0.9):
-        values = [mittag_leffler(mu, -x) for x in xs]
+        values = mittag_leffler(mu, -xs)
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -141,3 +142,51 @@ def test_ml_order_domain(mu):
 def test_ml_argument_domain(arg):
     with pytest.raises(ValueError):
         mittag_leffler(0.5, arg)
+
+
+# Mixed signs around 0 on every route, including arguments whose values
+# overflow (E_0.5(50) and beyond) and the tiny ones near the cap at 1.
+MIXED_ARGS = np.concatenate((np.linspace(-200.0, 60.0, 261), [0.0, -0.0, 1e-300, -1e-300,
+                                                               -1e-15, 709.0, 710.0]))
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.9, 0.99, 1.0])
+def test_ml_array_matches_scalar_exactly(mu):
+    values = mittag_leffler(mu, MIXED_ARGS)
+    assert isinstance(values, np.ndarray) and values.shape == MIXED_ARGS.shape
+    expected = [mittag_leffler(mu, x) for x in MIXED_ARGS.tolist()]
+    assert values.tolist() == expected
+    assert math.inf in expected
+    # any order and any company give the same values
+    order = np.random.default_rng(0).permutation(len(MIXED_ARGS))
+    assert mittag_leffler(mu, MIXED_ARGS[order]).tolist() == values[order].tolist()
+
+
+def test_ml_zero_dimensional_input_returns_float():
+    for mu, x in ((0.5, 1.0), (0.5, -1.0), (1.0, 2.0), (0.7, 0.0)):
+        value = mittag_leffler(mu, np.float64(x))
+        assert type(value) is float
+        assert type(mittag_leffler(mu, np.array(x))) is float
+        assert value == mittag_leffler(mu, np.array([x]))[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ml_array_with_one_non_finite_element_raises(bad):
+    args = np.linspace(-5.0, 5.0, 11)
+    args[7] = bad
+    with pytest.raises(ValueError):
+        mittag_leffler(0.5, args)
+
+
+def test_ml_array_rejects_two_dimensional_input():
+    with pytest.raises(ValueError):
+        mittag_leffler(0.5, np.ones((2, 2)))
+
+
+def test_ml_unconverged_series_in_array_raises_with_offending_argument():
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as excinfo:
+        mittag_leffler(0.002, np.array([-1.0, 0.0, 0.5, 1.01, 1.005]))
+    assert excinfo.value.ratio == 1.01
+    # the 100000 terms are summed in blocks, not one numpy call per term
+    assert time.perf_counter() - start < 1.0

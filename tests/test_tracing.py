@@ -48,3 +48,21 @@ def test_traced_series_commands_match_untraced(capsys, argv, terms):
         tracer.uninstall()
     assert capsys.readouterr().out == plain
     assert tracer.counts["hsv.terms"] == terms
+
+
+@pytest.mark.parametrize("argv", [
+    ["ml-eval", "--mu", "0.9", "--from", "-60", "--to", "5"],
+    ["exact-lambda0", "--vary", "mu", "--points", "11"],
+])
+def test_traced_closed_form_commands_match_untraced(capsys, argv):
+    # The tracer's Mittag-Leffler wrapper takes scalar arguments only, so
+    # whole grids must not reach the names it wraps.
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
