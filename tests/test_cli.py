@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +216,16 @@ class TestOutputContract:
                                  "--t-end", "4", "--points", "3")
         assert overridden == expected
 
+    def test_config_leaves_no_state_for_the_next_call(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"r": 0.5, "t-end": 4, "points": 3}))
+        assert run_cli(capsys, "classical", "--config", str(config))[0] == 0
+        code, plain, _ = run_cli(capsys, "classical")
+        fresh = subprocess.run([sys.executable, "-m", "fraclogistic", "classical"],
+                               capture_output=True, text=True)
+        assert code == 0 and fresh.returncode == 0
+        assert plain == fresh.stdout
+
 
 class TestExitCodes:
     def test_invalid_points_names_field(self, capsys):
@@ -249,6 +262,44 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("classical", "--t-end", "inf"),
+                                      ("closed-form", "--t-end", "nan"),
+                                      ("hsv", "--t-end", "-inf")])
+    def test_non_finite_t_end(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--t-end" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("surface", "--vary", "mu", "--to", "inf"), "--to"),
+        (("exact-lambda0", "--vary", "mu", "--to", "inf"), "--to"),
+        (("surface", "--vary", "lambda", "--from", "nan"), "--from"),
+        (("exact-lambda0", "--vary", "mu", "--step", "nan"), "--step"),
+        (("surface", "--vary", "mu", "--step", "inf"), "--step"),
+    ])
+    def test_non_finite_sweep_bounds(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("entry, flag", [({"r": [1]}, "--r"),
+                                             ({"points": {"a": 1}}, "--points")])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, entry, flag):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(entry))
+        code, out, err = run_cli(capsys, "classical", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "data.csv"
+        code, out, err = run_cli(capsys, "classical", "--output", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "classical", "--config", "/nonexistent.json")
         assert code == 2
@@ -284,3 +335,41 @@ def test_runtime_imports_neither_scipy_nor_mpmath():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _readme_command_line():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Command line\n")[1].split("\n## ")[0]
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
+    # every example in README's "Command line" section runs and prints a
+    # header that the section's table gives for its command
+    section = _readme_command_line()
+    headers = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) > 3 and cells[1].strip().startswith("`"):
+            headers[cells[1].strip(" `")] = re.findall(r"`([^`]+)`", cells[2])
+    assert sorted(headers) == sorted(_COMMAND_FLAGS)
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for block in re.findall(r"```bash\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[0] == "echo":
+                assert words[2] == ">"
+                (tmp_path / words[3]).write_text(words[1])
+                continue
+            assert words[0] == "fraclogistic"
+            code, out, err = run_cli(capsys, *words[1:])
+            assert code == 0, (line, err)
+            assert out.split("\n", 1)[0] in headers[words[1]], line
+            ran += 1
+    assert ran >= 8
+
+
+def test_readme_lists_every_flag():
+    section = _readme_command_line()
+    listed = re.search(r"Flags: `([^`]+)`", section).group(1).split()
+    assert sorted(listed) == sorted({f for flags in _COMMAND_FLAGS.values() for f in flags})
