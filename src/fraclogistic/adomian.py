@@ -12,7 +12,8 @@ only on ``x_0 .. x_n``.  Two expansions are provided:
 ``square``
     the textbook table for the plain square ``f(z) = z^2``
     (P0 = x0^2, P1 = 2 x0 x1, P2 = 2 x0 x2 + x1^2, ...), i.e. the delay
-    is dropped inside the nonlinearity.
+    is dropped inside the nonlinearity: the unit-delay case, computed as
+    ``general`` with delay factor 1.
 
 Both coincide for ``lam = 1``.  Polynomials are built by direct double
 convolution of the series terms, which is exact for this quadratic
@@ -41,8 +42,9 @@ def adomian_delayed_product(terms, lam: float, mode: str = "general"):
     lam : float
         Delay factor in [0, 1].
     mode : {"general", "square"}
-        Whether the second factor of each product is delay-rescaled
-        (``general``) or taken undelayed (``square``).
+        Whether the second factor of each product is delay-rescaled by
+        ``lam`` (``general``) or by the unit delay 1 (``square``); ``lam``
+        is validated in both modes.
 
     Returns
     -------
@@ -60,12 +62,10 @@ def adomian_delayed_product(terms, lam: float, mode: str = "general"):
             raise ValueError("terms must be FracSeries instances")
         if x.mu != mu:
             raise ValueError(f"series order mismatch: {x.mu} != {mu}")
-    if mode == "general":
-        second = [delay_rescale(x, lam) for x in terms]
-    else:
-        if not 0.0 <= float(lam) <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-        second = terms
+    if not 0.0 <= float(lam) <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+    delay = lam if mode == "general" else 1.0
+    second = [delay_rescale(x, delay) for x in terms]
 
     polys = []
     for n in range(len(terms)):

@@ -35,6 +35,7 @@ import sys
 import numpy as np
 
 from . import special
+from .adomian import ADOMIAN_MODES
 from .closed_forms import abc_exact_lambda0, classical_exact
 from .errors import ConvergenceError, SolverError
 from .hsv import geometric_closed_form, hsv_evaluate, hsv_iterate
@@ -98,7 +99,7 @@ _FLAGS = {
 
 _CHOICES = {
     "--operator": [kind.value for kind in OperatorKind],
-    "--mode": ["general", "square"],
+    "--mode": list(ADOMIAN_MODES),
     "--vary": ["mu", "lambda", "both"],
 }
 
@@ -119,7 +120,11 @@ _COMMAND_FLAGS = {command: (*flags, "--output", "--config") for command, flags i
     "stability": (*_SHARED, "--h", "--operator", "--epsilons"),
 }.items()}
 
-_DEFAULT_SWEEPS = {"mu": (0.1, 0.9, 0.1), "lambda": (0.1, 1.0, 0.1)}
+# sweep axis -> (default from, to, step), its range as text, the range test
+_SWEEPS = {"mu": ((0.1, 0.9, 0.1), "(0, 1]", lambda v: 0.0 < v <= 1.0),
+           "lambda": ((0.1, 1.0, 0.1), "[0, 1]", lambda v: 0.0 <= v <= 1.0)}
+# Most values one sweep may take; the default sweeps take 9 and 10.
+_MAX_SWEEP = 10_000
 
 # Rows formatted per write: lists of every value at once would raise peak memory.
 _BLOCK = 4096
@@ -130,22 +135,25 @@ def _grid(ns) -> np.ndarray:
 
 
 def _sweep_values(ns, axis: str) -> list:
+    """``--from`` to ``--to`` by ``--step``; both ends must lie in the axis range."""
+    defaults, span, admits = _SWEEPS[axis]
     lo, hi, step = (default if value is None else value for value, default in
-                    zip((ns.sweep_from, ns.sweep_to, ns.sweep_step), _DEFAULT_SWEEPS[axis]))
+                    zip((ns.sweep_from, ns.sweep_to, ns.sweep_step), defaults))
+    for flag, value in (("--from", lo), ("--to", hi)):
+        if not admits(value):
+            raise ValueError(f"{flag} must lie in {span} for --vary {axis}, got {value}")
     if step <= 0.0:
-        raise ValueError(f"step must be > 0, got {step}")
+        raise ValueError(f"--step must be > 0, got {step}")
     if hi < lo:
-        raise ValueError(f"sweep range is empty: from {lo} to {hi}")
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    values = [lo + i * step for i in range(count + 1)]
-    if axis == "mu":
-        values = [min(v, 1.0) for v in values]
-        if any(not 0.0 < v <= 1.0 for v in values):
-            raise ValueError("mu sweep values must lie in (0, 1]")
-    else:
-        if any(not 0.0 <= v <= 1.0 + 1e-12 for v in values):
-            raise ValueError("lambda sweep values must lie in [0, 1]")
-        values = [min(v, 1.0) for v in values]
+        raise ValueError(f"sweep range is empty: --from {lo} --to {hi}")
+    count = (hi - lo) / step + 1e-9
+    if not count < _MAX_SWEEP:
+        raise ValueError(f"--step {step} gives more than {_MAX_SWEEP} sweep values")
+    values = [lo + i * step for i in range(math.floor(count) + 1)]
+    # clamp rounding slack past 1, but the count's 1e-9 slack can carry more
+    values = [min(v, 1.0) if v <= 1.0 + 1e-12 else v for v in values]
+    if not all(admits(v) for v in values):
+        raise ValueError(f"--step {step} carries the sweep past 1")
     return values
 
 
@@ -186,7 +194,7 @@ def _cmd_hsv(ns, params):
 
 def _cmd_closed_form(ns, params):
     ts = _grid(ns)
-    return "t,z", [ts, [geometric_closed_form(params, t).value for t in ts]]
+    return "t,z", [ts, geometric_closed_form(params, ts).value]
 
 
 def _cmd_solve(ns, params):
@@ -199,7 +207,7 @@ def _cmd_compare(ns, params):
     trio = compare_operators(params, SolveConfig(OperatorKind.ABC, ns.t_end, ns.h))
     ts = _grid(ns)
     return "t,z_abc,z_cfc,z_caputo", [ts, *(np.interp(ts, traj.grid, traj.values)
-                                            for traj in (trio.abc, trio.cfc, trio.caputo))]
+                                            for traj in trio)]
 
 
 def _cmd_surface(ns, params):

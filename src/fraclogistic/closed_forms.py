@@ -79,15 +79,10 @@ def abc_exact_lambda0(p: ModelParams, t):
     ``t`` is a time or a 1-d array of times, giving a float or an array;
     every t must be finite and >= 0.
     """
-    ts = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(ts)
-    if not np.isfinite(flat).all() or (flat < 0.0).any():
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    _, power = special.time_powers(t, p.mu)
     den = _lambda0_denominator(p)
     amp = lambda0_amplitude(p)
     rate = p.r * (1.0 - p.z0 / p.k) * p.mu / den
-    # libm pow per point, as HsvSolution.term_values
-    power = np.array([v ** p.mu for v in flat.tolist()])
     with np.errstate(over="ignore"):  # inf, as Python floats give
         z = amp * special.mittag_leffler(p.mu, rate * power)
-    return z if ts.ndim else float(z[0])
+    return z if np.ndim(t) else float(z[0])

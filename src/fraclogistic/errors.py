@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "SolverError", "SingularParameterError"]
+
 
 class ConvergenceError(ValueError):
     """A series did not converge.

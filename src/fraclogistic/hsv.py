@@ -56,7 +56,7 @@ from .series import (  # noqa: F401
     sumudu_forward,
     sumudu_inverse,
 )
-from .special import gamma_fn
+from .special import gamma_fn, time_powers
 
 __all__ = [
     "HsvSolution",
@@ -125,12 +125,7 @@ class HsvSolution:
         ``(n+1, len(t))``.  Every t must be finite and >= 0.  Values that
         overflow come back as inf or nan, without a warning.
         """
-        flat = np.atleast_1d(np.asarray(t, dtype=float))
-        if not np.isfinite(flat).all() or (flat < 0.0).any():
-            raise ValueError(f"term_values requires finite t >= 0, got {t!r}")
-        # libm pow per point, as eval_series: numpy's vectorised power
-        # rounds the last bit differently at some points
-        x = np.array([v ** self.params.mu for v in flat.tolist()])
+        flat, x = time_powers(t, self.params.mu)  # libm pow, as eval_series
         acc = np.zeros((len(self.coeffs), len(x)))
         with np.errstate(over="ignore", invalid="ignore"):
             for column in self.coeffs.T[::-1]:
@@ -143,7 +138,8 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
     """Generate the terms x_0 .. x_{n_terms}.
 
     ``mode`` selects the Adomian expansion of the delayed product (see
-    :mod:`fraclogistic.adomian`); both modes coincide for ``lam = 1``.
+    :mod:`fraclogistic.adomian`): ``square`` is the unit-delay case, the
+    ``general`` path with delay factor 1, so both coincide for ``lam = 1``.
 
     Row i of an (n+1) x (n+1) matrix ``c`` holds the coefficients of x_i.
     Step n builds only ``P_n``: row p of ``prod`` collects the Cauchy
@@ -169,12 +165,10 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
         ) from None
     c = np.zeros((n_terms + 1, n_terms + 1))
     c[0, 0] = p.z0
-    if mode == "general":
-        delay = np.array([p.lam ** (k * mu) for k in range(n_terms + 1)])
-        s = np.zeros_like(c)
-        s[0] = c[0] * delay
-    else:
-        s = c
+    lam = p.lam if mode == "general" else 1.0
+    delay = np.array([lam ** (k * mu) for k in range(n_terms + 1)])
+    s = np.zeros_like(c)  # row i holds the delayed x_i
+    s[0] = c[0] * delay
     factor = p.r / p.b_norm
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_terms):
@@ -191,8 +185,7 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
             c[n + 1, :m + 1] = factor * e / g[:m + 1]
             if not np.isfinite(c[n + 1]).all():
                 raise ValueError(f"term x_{n + 1} has non-finite coefficients")
-            if mode == "general":
-                s[n + 1] = c[n + 1] * delay
+            s[n + 1] = c[n + 1] * delay
     c.flags.writeable = False
     return HsvSolution(params=p, mode=mode, coeffs=c)
 
@@ -212,34 +205,42 @@ def hsv_evaluate(sol: HsvSolution, t) -> HsvEvaluation:
         return HsvEvaluation(value=sum(values), last_term=abs(values[-1]))
 
 
-def psi_kernel(params: ModelParams, t: float) -> float:
-    """Time-domain kernel ``1 - mu + mu t^mu / Gamma(mu + 1)``."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+def psi_kernel(params: ModelParams, t):
+    """Time-domain kernel ``1 - mu + mu t^mu / Gamma(mu + 1)``.
+
+    ``t`` is a time or a 1-d array of times, as for
+    :meth:`HsvSolution.term_values`, giving a float or an array.
+    """
     mu = params.mu
-    power = 0.0 if t == 0.0 else t ** mu
-    return 1.0 - mu + mu * power / gamma_fn(mu + 1.0)
+    _, power = time_powers(t, mu)
+    psi = 1.0 - mu + mu * power / gamma_fn(mu + 1.0)
+    return psi if np.ndim(t) else float(psi[0])
 
 
-def geometric_closed_form(params: ModelParams, t: float) -> GeometricForm:
+def geometric_closed_form(params: ModelParams, t) -> GeometricForm:
     """Sum the geometric surrogate ``z0 * sum_i q(t)^i = z0 / (1 - q)``.
 
-    Raises :class:`ConvergenceError` (carrying the ratio) when |q| >= 1.
+    ``t`` is a time or a 1-d array of times, as for :func:`psi_kernel`;
+    both fields then have its shape.  Raises :class:`ConvergenceError`
+    (carrying the ratio) at the first t where |q| >= 1.
     """
     p = params
     q = (p.r / p.b_norm) * (1.0 - p.z0 / p.k) * psi_kernel(p, t)
-    if abs(q) >= 1.0:
+    diverged = np.flatnonzero(np.abs(q) >= 1.0)
+    if diverged.size:
+        first = diverged[0]
+        q_at, t_at = float(np.atleast_1d(q)[first]), float(np.atleast_1d(t)[first])
         raise ConvergenceError(
-            f"geometric ratio |q| = {abs(q)} >= 1 at t = {t}; "
-            "closed form diverges",
-            ratio=q,
+            f"geometric ratio |q| = {abs(q_at)} >= 1 at t = {t_at}; closed form diverges",
+            ratio=q_at,
         )
     return GeometricForm(value=p.z0 / (1.0 - q), ratio=q)
 
 
-def geometric_gap(sol: HsvSolution, t: float) -> float:
+def geometric_gap(sol: HsvSolution, t):
     """Absolute difference between the partial sum and the geometric form.
+
+    ``t`` is a time or a 1-d array of times, giving a float or an array.
 
     Quantifies, at runtime, how far the exact kernel powers drift from
     the pure ``q^i`` surrogate (zero only at q = 0).

@@ -358,8 +358,5 @@ def solve(
 
 def compare_operators(params: ModelParams, cfg_base: SolveConfig) -> OperatorComparison:
     """Run all three operators on identical grids for side-by-side output."""
-    return OperatorComparison(
-        abc=solve(params, replace(cfg_base, operator=OperatorKind.ABC)),
-        cfc=solve(params, replace(cfg_base, operator=OperatorKind.CFC)),
-        caputo=solve(params, replace(cfg_base, operator=OperatorKind.CAPUTO)),
-    )
+    return OperatorComparison(**{kind.value: solve(params, replace(cfg_base, operator=kind))
+                                 for kind in OperatorKind})

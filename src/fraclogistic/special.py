@@ -79,6 +79,20 @@ def gamma_fn(x: float) -> float:
     return math.exp(math.lgamma(x))
 
 
+def time_powers(t, mu: float) -> tuple:
+    """Flat times and ``t**mu`` of a time or 1-d time grid ``t``.
+
+    The package's one rule for time arguments (not exported): every t must
+    be finite and >= 0.  The powers come from libm one point at a time, as
+    Python floats give them: numpy's vectorised power rounds the last bit
+    differently at some points.
+    """
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    if flat.ndim > 1 or not np.isfinite(flat).all() or (flat < 0.0).any():
+        raise ValueError(f"expected a time or a 1-d grid of finite t >= 0, got {t!r}")
+    return flat, np.array([v ** mu for v in flat.tolist()])
+
+
 def mittag_leffler(mu: float, arg):
     """Evaluate ``E_mu(arg)`` for order 0 < mu <= 1 and finite real arguments.
 

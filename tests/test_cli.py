@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fraclogistic
 from fraclogistic import ModelParams, abc_exact_lambda0, mittag_leffler
 from fraclogistic.cli import _COMMAND_FLAGS, main
 
@@ -16,6 +18,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports the package these tests import."""
+    path = [str(Path(fraclogistic.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
 
 
 def parse_csv(text):
@@ -84,6 +93,14 @@ class TestExactLambda0Command:
         assert mus == sorted(mus)  # outer sweep axis ascending
         ts = [row[0] for row in rows[:5]]
         assert ts == sorted(ts)
+
+    def test_mu_sweep_ends_at_one(self, capsys):
+        code, out, _ = run_cli(capsys, "exact-lambda0", "--vary", "mu", "--from", "0.5",
+                               "--to", "1.0", "--step", "0.1", "--points", "2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[1] for row in rows[::2]] == pytest.approx([0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+        assert rows[-1][1] == 1.0
 
 
 class TestSolverCommands:
@@ -221,8 +238,7 @@ class TestOutputContract:
         config.write_text(json.dumps({"r": 0.5, "t-end": 4, "points": 3}))
         assert run_cli(capsys, "classical", "--config", str(config))[0] == 0
         code, plain, _ = run_cli(capsys, "classical")
-        fresh = subprocess.run([sys.executable, "-m", "fraclogistic", "classical"],
-                               capture_output=True, text=True)
+        fresh = run_python("-m", "fraclogistic", "classical")
         assert code == 0 and fresh.returncode == 0
         assert plain == fresh.stdout
 
@@ -284,6 +300,24 @@ class TestExitCodes:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("surface", "--vary", "mu", "--to", "5"), "--to"),
+        (("exact-lambda0", "--vary", "mu", "--to", "1.5"), "--to"),
+        (("surface", "--vary", "mu", "--from", "0"), "--from"),
+        (("surface", "--vary", "lambda", "--from", "-0.5"), "--from"),
+        (("surface", "--vary", "lambda", "--to", "1.5"), "--to"),
+        (("surface", "--vary", "mu", "--step", "1e-320"), "--step"),
+        (("exact-lambda0", "--vary", "mu", "--from", "0.1", "--to", "0.9",
+          "--step", "1e-5"), "--step"),
+        (("surface", "--vary", "mu", "--from", "0.5", "--to", "1",
+          "--step", "0.2500000001"), "--step"),
+    ])
+    def test_out_of_range_sweep_values(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv, "--points", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
     @pytest.mark.parametrize("entry, flag", [({"r": [1]}, "--r"),
                                              ({"points": {"a": 1}}, "--points")])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, entry, flag):
@@ -305,11 +339,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fraclogistic", "classical",
-             "--t-end", "1", "--points", "2"],
-            capture_output=True, text=True,
-        )
+        proc = run_python("-m", "fraclogistic", "classical", "--t-end", "1", "--points", "2")
         assert proc.returncode == 0
         assert proc.stdout.startswith("t,z\n")
 
@@ -331,8 +361,7 @@ def test_runtime_imports_neither_scipy_nor_mpmath():
         "        assert main(argv) == 0, argv\n"
         "print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

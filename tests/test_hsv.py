@@ -147,6 +147,13 @@ def test_delay_changes_general_mode_only():
     assert sq_fast.terms[2].coeffs == sq_slow.terms[2].coeffs
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_square_mode_is_the_unit_delay(lam):
+    square = hsv_iterate(ModelParams(r=0.4, k=100.0, z0=10.0, mu=0.7, lam=lam), 12, "square")
+    unit = hsv_iterate(ModelParams(r=0.4, k=100.0, z0=10.0, mu=0.7, lam=1.0), 12, "general")
+    np.testing.assert_array_equal(square.coeffs, unit.coeffs)
+
+
 def test_iterate_validation():
     with pytest.raises(ValueError):
         hsv_iterate(BASE, 0)
@@ -309,3 +316,39 @@ class TestGeometricForm:
         assert psi_kernel(p, 2.0) == pytest.approx(2.0, rel=1e-15)
         p2 = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=1.0)
         assert psi_kernel(p2, 0.0) == 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, [0.5, math.nan]])
+    def test_bad_times_raise(self, bad):
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
+        for evaluate in (psi_kernel, geometric_closed_form):
+            with pytest.raises(ValueError, match="finite t >= 0") as excinfo:
+                evaluate(p, bad)
+            assert not isinstance(excinfo.value, ConvergenceError)
+
+    def test_grid_matches_points(self):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=0.5)
+        ts = np.linspace(0.0, 3.0, 41)
+        grid = geometric_closed_form(p, ts)
+        points = [geometric_closed_form(p, t) for t in ts.tolist()]
+        assert all(isinstance(f.value, float) and isinstance(f.ratio, float) for f in points)
+        np.testing.assert_array_equal(grid.value, [f.value for f in points])
+        np.testing.assert_array_equal(grid.ratio, [f.ratio for f in points])
+        np.testing.assert_array_equal(psi_kernel(p, ts), [psi_kernel(p, t) for t in ts.tolist()])
+        sol = hsv_iterate(p, 8)
+        np.testing.assert_array_equal(geometric_gap(sol, ts),
+                                      [geometric_gap(sol, t) for t in ts.tolist()])
+
+    def test_grid_reports_first_divergent_time(self):
+        p = ModelParams(r=2.0, k=100.0, z0=10.0, mu=0.9, lam=1.0)
+        ts = np.linspace(0.0, 50.0, 101)
+        for t in ts.tolist():
+            try:
+                geometric_closed_form(p, t)
+            except ConvergenceError as exc:
+                first, point = t, exc
+                break
+        with pytest.raises(ConvergenceError) as excinfo:
+            geometric_closed_form(p, ts)
+        assert str(excinfo.value) == str(point)
+        assert f"at t = {first};" in str(point)
+        assert excinfo.value.ratio == point.ratio
