@@ -90,7 +90,8 @@ _FLAGS = {
     "--from": ("sweep_from", _FINITE, None, "sweep start (also ml-eval argument start)"),
     "--to": ("sweep_to", _FINITE, None, "sweep end (also ml-eval argument end)"),
     "--step": ("sweep_step", _FINITE, None, "sweep increment"),
-    "--at-t": ("at_t", float, 1.0, "fixed evaluation time for --vary both"),
+    "--at-t": ("at_t", _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+               1.0, "fixed evaluation time for --vary both"),
     "--epsilons": ("epsilons", _checked(_float_list, bool, "comma-separated numbers"),
                    "1e-2,1e-3,1e-4", "perturbation sizes"),
     "--output": ("output", str, None, "output file path; stdout if unset"),
@@ -157,14 +158,24 @@ def _sweep_values(ns, axis: str) -> list:
     return values
 
 
-def _swept(ts: np.ndarray, values: list, curves: list) -> list:
-    """Columns t, value, z of a sweep: the swept value outer, t inner."""
-    return [np.tile(ts, len(values)), np.repeat(values, len(ts)), np.concatenate(curves)]
+def _curves(ns, params, curve) -> tuple:
+    """Header and columns of ``curve(params, ts)`` on the output grid.
+
+    Without ``--vary`` the columns are t, z; with it, t, value, z over the
+    sweep, the swept value outer and t inner.
+    """
+    ts = _grid(ns)
+    if ns.vary is None:
+        return "t,z", [ts, curve(params, ts)]
+    field = "mu" if ns.vary == "mu" else "lam"
+    values = _sweep_values(ns, ns.vary)
+    curves = [curve(dataclasses.replace(params, **{field: v}), ts) for v in values]
+    return f"t,{ns.vary},z", [np.tile(ts, len(values)), np.repeat(values, len(ts)),
+                              np.concatenate(curves)]
 
 
 def _cmd_classical(ns, params):
-    ts = _grid(ns)
-    return "t,z", [ts, [classical_exact(params, t) for t in ts]]
+    return _curves(ns, params, classical_exact)
 
 
 def _cmd_ml_eval(ns, params):
@@ -177,24 +188,18 @@ def _cmd_ml_eval(ns, params):
 
 
 def _cmd_exact_lambda0(ns, params):
-    ts = _grid(ns)
-    if ns.vary is None:
-        return "t,z", [ts, abc_exact_lambda0(params, ts)]
-    if ns.vary != "mu":
+    if ns.vary not in (None, "mu"):
         raise ValueError("exact-lambda0 supports only --vary mu")
-    mus = _sweep_values(ns, "mu")
-    curves = [abc_exact_lambda0(dataclasses.replace(params, mu=mu), ts) for mu in mus]
-    return "t,mu,z", _swept(ts, mus, curves)
+    return _curves(ns, params, abc_exact_lambda0)
 
 
 def _cmd_hsv(ns, params):
-    ts = _grid(ns)
-    return "t,z", [ts, hsv_evaluate(hsv_iterate(params, ns.n_terms, ns.mode), ts).value]
+    return _curves(ns, params, lambda params, ts: hsv_evaluate(
+        hsv_iterate(params, ns.n_terms, ns.mode), ts).value)
 
 
 def _cmd_closed_form(ns, params):
-    ts = _grid(ns)
-    return "t,z", [ts, geometric_closed_form(params, ts).value]
+    return _curves(ns, params, lambda params, ts: geometric_closed_form(params, ts).value)
 
 
 def _cmd_solve(ns, params):
@@ -213,22 +218,15 @@ def _cmd_compare(ns, params):
 def _cmd_surface(ns, params):
     if ns.vary is None:
         raise ValueError("surface requires --vary (mu | lambda | both)")
-    if ns.vary == "both":
-        if (ns.sweep_from, ns.sweep_to, ns.sweep_step) != (None, None, None):
-            raise ValueError("custom from/to/step are not supported with --vary both")
-        if ns.at_t < 0.0:
-            raise ValueError(f"at-t must be >= 0, got {ns.at_t}")
-        mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
-        zs = [hsv_evaluate(hsv_iterate(dataclasses.replace(params, mu=mu, lam=lam),
-                                       ns.n_terms, ns.mode), ns.at_t).value
-              for mu in mus for lam in lams]
-        return "mu,lambda,z", [np.repeat(mus, len(lams)), np.tile(lams, len(mus)), zs]
-    field = "mu" if ns.vary == "mu" else "lam"
-    values = _sweep_values(ns, ns.vary)
-    ts = _grid(ns)
-    curves = [hsv_evaluate(hsv_iterate(dataclasses.replace(params, **{field: v}),
-                                       ns.n_terms, ns.mode), ts).value for v in values]
-    return f"t,{ns.vary},z", _swept(ts, values, curves)
+    if ns.vary != "both":  # the hsv curve, swept
+        return _cmd_hsv(ns, params)
+    if (ns.sweep_from, ns.sweep_to, ns.sweep_step) != (None, None, None):
+        raise ValueError("custom from/to/step are not supported with --vary both")
+    mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
+    zs = [hsv_evaluate(hsv_iterate(dataclasses.replace(params, mu=mu, lam=lam),
+                                   ns.n_terms, ns.mode), ns.at_t).value
+          for mu in mus for lam in lams]
+    return "mu,lambda,z", [np.repeat(mus, len(lams)), np.tile(lams, len(mus)), zs]
 
 
 def _cmd_convergence(ns, params):

@@ -22,18 +22,29 @@ __all__ = [
 ]
 
 
-def classical_exact(p: ModelParams, t: float) -> float:
-    """Classical logistic solution ``z0*k / (z0 + (k - z0) e^{-r t})``.
+def classical_exact(p: ModelParams, t):
+    """Classical logistic solution ``z0*k / (z0 + (k - z0) E_1(-r t))``, E_1 = exp.
 
-    Satisfies z(0) = z0 exactly; for z0 > 0 the denominator never vanishes
-    on t >= 0.  z0 = k yields the constant equilibrium solution.
+    ``t`` is a time or a 1-d array of times, giving a float or an array;
+    every t must be finite and >= 0.  z(0) = z0 exactly, and z0 = k yields
+    the constant equilibrium.  The denominator stays positive except for
+    z0 > k with r < 0, where it reaches 0 at ``t* = ln(z0/(z0 - k))/(-r)``
+    and the solution blows up; a requested t >= t* raises
+    :class:`SingularParameterError`.  Overflow of ``e^{-r t}`` gives z = 0.
     """
-    t = float(t)
-    try:
-        decay = math.exp(-p.r * t)
-    except OverflowError:
-        decay = math.inf
-    return p.z0 * p.k / (p.z0 + (p.k - p.z0) * decay)
+    ts, _ = special.time_powers(t, 1.0)
+    with np.errstate(over="ignore"):  # inf, as Python floats give
+        # -r t beyond the double range gives E_1 = 0 or inf, as at -+1e300
+        decay = special.mittag_leffler(1.0, np.clip(-p.r * ts, -1e300, 1e300))
+        # at z0 = k the decay term is absent: 0 * inf would give nan
+        den = p.z0 + (p.k - p.z0) * decay if p.k != p.z0 else np.full(len(ts), p.z0)
+        if (den <= 0.0).any():
+            # r < 0 < z0 - k, or z0 so far above k that z0 + (k - z0) rounds to 0
+            t_star = math.log(p.z0 / (p.z0 - p.k)) / -p.r if p.r < 0.0 else 0.0
+            raise SingularParameterError(f"the classical solution blows up at t* = "
+                                         f"{t_star:.12g}, before t = {ts.max():.12g}")
+        z = p.z0 * p.k / den
+    return z if np.ndim(t) else float(z[0])
 
 
 def classical_fixed_points(p: ModelParams):
@@ -59,9 +70,9 @@ def lambda0_amplitude(p: ModelParams) -> float:
     A -> z0 continuously as mu -> 1.
     """
     den = _lambda0_denominator(p)
-    if abs(den) < 1e-12:
+    if den < 1e-12:
         raise SingularParameterError(
-            f"b_norm + r(1 - z0/k)(mu - 1) = {den} is (numerically) zero"
+            f"b_norm + r(1 - z0/k)(mu - 1) = {den} is not (numerically) positive"
         )
     return p.b_norm * p.z0 / den
 

@@ -33,11 +33,17 @@ scalar quadratic A z^2 + B z - C = 0 and is solved exactly (the root
 nearest z_{n-1} when A != 0).  No real root, a non-finite root or a root
 <= 0 raises :class:`SolverError` with the step index.
 
+Initial node: t = 0 is solved by the same step, with pointwise weight
+(1-mu)/B for ABC and 0 for CFC and Caputo.  Weight 0 returns the datum z0
+exactly, so CFC and Caputo start at z0, while ABC starts at the root of its
+implicit relation at t = 0 (the jump amplitude on linear problems).
+
 Delay handling: z(lam*t_n) is linearly interpolated on the already
 computed grid; no history function is needed since lam in [0, 1] maps
 [0, t] into itself.  Two conventions at the edges of the delay range:
 
 * lam = 1 participates directly (z(lam t_n) is the current unknown);
+  ``solve(..., pantograph=False)`` is this case whatever ``params.lam`` is;
 * lam = 0 uses the *nominal* initial value z0, the problem datum, not the
   stored t = 0 node.  For the ABC operator the stored node is the root of
   the implicit relation at t = 0 (the jump amplitude A on linear
@@ -214,9 +220,8 @@ def solve(
         Constant additive perturbation of the right-hand side (used by the
         stability probe).
     pantograph : bool, optional
-        When False the delayed argument is taken equal to the current
-        state, i.e. the feedback is undelayed regardless of ``lam``; this
-        is the reference path the lam = 1 interpolation must reproduce.
+        When False the feedback is undelayed: the solve runs with lam = 1
+        whatever ``params.lam`` is, and the trajectory keeps ``params``.
 
     Raises
     ------
@@ -227,7 +232,7 @@ def solve(
     p = params
     h = cfg.h
     mu = p.mu
-    r, k, z0, lam = p.r, p.k, p.z0, p.lam
+    r, k, z0, lam = p.r, p.k, p.z0, (p.lam if pantograph else 1.0)
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
     grid = h * np.arange(n_steps + 1)
     z = np.zeros(n_steps + 1)
@@ -236,9 +241,7 @@ def solve(
     def step(n: int, base: float, diag: float) -> None:
         """Solve z_n = base + diag * f(t_n, z_n, z(lam t_n)); store z_n and f_n."""
         # delayed value a + b * z_n
-        if not pantograph:
-            a, b = 0.0, 1.0
-        elif lam == 0.0:
+        if lam == 0.0:
             a, b = z0, 0.0
         else:
             pos = lam * n  # grid units of lam * t_n
@@ -282,24 +285,17 @@ def solve(
 
     op = cfg.operator
 
+    c_point = 0.0 if op is OperatorKind.CAPUTO else (1.0 - mu) / p.b_norm
     if op is OperatorKind.ABC:
-        c_point = (1.0 - mu) / p.b_norm
         c_quad = mu / (p.b_norm * gamma_fn(mu))
     elif op is OperatorKind.CAPUTO:
-        c_point = 0.0
         c_quad = 1.0 / gamma_fn(mu)
     else:  # CFC
-        c_point = (1.0 - mu) / p.b_norm
         c_quad = mu / p.b_norm
 
-    # Initial node: ABC keeps a pointwise f term even at t = 0, so its
-    # starting value solves the implicit relation (the jump amplitude on
-    # linear problems).  CFC and Caputo start exactly at the datum.
-    if op is OperatorKind.ABC:
-        step(0, z0, c_point)
-    else:
-        z[0] = z0
-        f_hist[0] = logistic_rhs(p, z0, z0, forcing)
+    # Initial node: ABC keeps its pointwise f term at t = 0 (the jump
+    # amplitude on linear problems); CFC's f(t) - f(0) term vanishes there.
+    step(0, z0, c_point if op is OperatorKind.ABC else 0.0)
     f0 = float(f_hist[0])
 
     if op is OperatorKind.CFC:

@@ -287,6 +287,26 @@ class TestExitCodes:
         assert out == ""
         assert "--t-end" in err and "Warning" not in err
 
+    @pytest.mark.parametrize("at_t", ["nan", "inf", "-1"])
+    def test_bad_evaluation_time(self, capsys, at_t):
+        code, out, err = run_cli(capsys, "surface", "--vary", "both", "--at-t", at_t)
+        assert code == 2
+        assert out == ""
+        assert "--at-t" in err
+
+    @pytest.mark.parametrize("argv, rule", [
+        # the classical solution blows up at t* = ln 3 ~ 1.0986
+        (("classical", "--r", "-1", "--z0", "150", "--t-end", "3", "--points", "7"),
+         "t* = 1.09861228867"),
+        # the lam = 0 amplitude would be -8 < 0
+        (("exact-lambda0", "--r", "5", "--mu", "0.5"), "-1.25"),
+    ])
+    def test_closed_forms_fail_where_solver_does(self, capsys, argv, rule):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and rule in err
+
     @pytest.mark.parametrize("argv, flag", [
         (("surface", "--vary", "mu", "--to", "inf"), "--to"),
         (("exact-lambda0", "--vary", "mu", "--to", "inf"), "--to"),

@@ -51,6 +51,30 @@ class TestClassical:
     def test_plateau(self):
         assert abs(classical_exact(P, 40.0 / P.r) - P.k) < 1e-10 * P.k
 
+    def test_equilibrium_survives_overflowing_decay(self):
+        # e^{-r t} overflows at t = 1000; the equilibrium must not turn into nan
+        p = ModelParams(r=-1.0, k=100.0, z0=100.0, mu=1.0, lam=1.0)
+        assert classical_exact(p, 1000.0) == p.k
+        assert classical_exact(p, np.array([0.0, 1000.0])).tolist() == [p.k, p.k]
+
+    def test_blow_up_raises_naming_time(self):
+        # z0 > k with r < 0 blows up at t* = ln(z0/(z0 - k))/(-r) = ln 3
+        p = ModelParams(r=-1.0, k=100.0, z0=150.0, mu=1.0, lam=1.0)
+        assert classical_exact(p, 1.0) > p.z0
+        for t in (1.5, np.linspace(0.0, 3.0, 7)):
+            with pytest.raises(SingularParameterError, match=f"t\\* = {math.log(3.0):.12g}"):
+                classical_exact(p, t)
+
+    @pytest.mark.parametrize("r", [1.0, -0.5])
+    def test_grid_matches_points(self, r):
+        # r = -0.5 decays, and e^{-r t} overflows past t = 1419
+        p = ModelParams(r=r, k=100.0, z0=10.0, mu=1.0, lam=1.0)
+        ts = np.concatenate(([0.0, 1e-300], np.linspace(0.0, 2000.0, 401)))
+        values = classical_exact(p, ts)
+        assert isinstance(values, np.ndarray) and values.shape == ts.shape
+        assert values.tolist() == [classical_exact(p, t) for t in ts.tolist()]
+        assert type(classical_exact(p, np.float64(1.0))) is float
+
     def test_nonpositive_initial_value_rejected(self):
         with pytest.raises(ValueError):
             ModelParams(r=1.0, k=100.0, z0=-1.0, mu=1.0, lam=1.0)
@@ -113,6 +137,14 @@ class TestLambdaZeroForm:
     def test_singular_denominator(self):
         # b_norm + r (1 - z0/k)(mu - 1) = 1 + 2*(-0.5) = 0
         p = ModelParams(r=-2.0, k=100.0, z0=200.0, mu=0.5, lam=0.0)
+        with pytest.raises(SingularParameterError):
+            abc_exact_lambda0(p, 1.0)
+
+    def test_negative_denominator(self):
+        # b_norm + r (1 - z0/k)(mu - 1) = 1 + 4.5*(-0.5) < 0 gives A = -8 < 0
+        p = ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.5, lam=0.0)
+        with pytest.raises(SingularParameterError, match="-1.25"):
+            lambda0_amplitude(p)
         with pytest.raises(SingularParameterError):
             abc_exact_lambda0(p, 1.0)
 

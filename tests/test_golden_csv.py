@@ -39,6 +39,19 @@ GOLDEN = [
      "f96abf83d853b94d32511c27ce9019fd1d814b04a2703df106df5f281f8ad2de"),
     (["ml-eval", "--mu", "0.5", "--from", "-200", "--to", "50", "--points", "201"],
      "de09b72bc6fa7209ffcf82ab8c814bb6c95b8d05c29704de0ad144fc48be112d"),
+    (["solve", "--operator", "cfc", "--lambda", "0"],
+     "e26e5876b396cf7391c4c9484ff7eb965abcab1843e521228bc7eccbb9bc0952"),
+    (["solve", "--operator", "caputo", "--lambda", "0.5"],
+     "b73a2ce6a48706ab62b833f9e97e6471581da041cfd0fd6e11ac2f05000fd116"),
+    (["compare", "--lambda", "0.5", "--mu", "0.7"],
+     "e6884d6a0f130d5dd1fb1c77ca725df125a13b13feffee2b987be930736f793d"),
+    (["stability", "--operator", "cfc", "--lambda", "0"],
+     "ee014881c984b0522692e0d059d475b9a7a71dbbeb68f6f27062da2d4fe22398"),
+    # e^{-r t} overflows past t = 1419, so z underflows to 0
+    (["classical", "--r", "-0.5", "--t-end", "2000"],
+     "0798039580462caef506920344df6b386789d99ef4eaff9a7ffb956dedf540bb"),
+    (["surface", "--vary", "lambda", "--mode", "square"],
+     "aeb32ab13d7f5571cdeab691552014a23cef21ca70860b338ea02641b183c48e"),
 ]
 
 

@@ -320,7 +320,7 @@ class TestGeometricForm:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, [0.5, math.nan]])
     def test_bad_times_raise(self, bad):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
-        for evaluate in (psi_kernel, geometric_closed_form):
+        for evaluate in (psi_kernel, geometric_closed_form, classical_exact):
             with pytest.raises(ValueError, match="finite t >= 0") as excinfo:
                 evaluate(p, bad)
             assert not isinstance(excinfo.value, ConvergenceError)

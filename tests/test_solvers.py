@@ -83,12 +83,14 @@ class TestOperatorCoincidence:
 
 
 class TestDelayHandling:
-    def test_lambda_one_equals_direct_path(self):
-        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=1.0)
-        cfg = SolveConfig(operator="abc", t_end=3.0, h=0.01)
-        with_delay = solve(p, cfg)
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    def test_lambda_one_equals_direct_path(self, operator, lam):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
+        cfg = SolveConfig(operator=operator, t_end=3.0, h=0.01)
         direct = solve(p, cfg, pantograph=False)
-        assert np.max(np.abs(with_delay.values - direct.values)) <= 1e-12
+        np.testing.assert_array_equal(direct.values, solve(replace(p, lam=1.0), cfg).values)
+        assert direct.params == p
 
     def test_interior_delay_differs_from_none(self):
         base = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=1.0)
