@@ -1,17 +1,7 @@
 """Command-line front end emitting CSV datasets for every solution route.
 
-Commands
---------
-classical       classical logistic closed form               -> t,z
-ml-eval         Mittag-Leffler function values               -> t,z
-exact-lambda0   lam = 0 fractional closed form               -> t,z  (or t,mu,z with --vary mu)
-hsv             truncated hybrid Sumudu-variational series   -> t,z
-closed-form     geometric closed-form surrogate              -> t,z
-solve           numerical solver, one operator               -> t,z
-compare         all three operators on one grid              -> t,z_abc,z_cfc,z_caputo
-surface         parameter sweeps of the series solution      -> t,mu,z | t,lambda,z | mu,lambda,z
-convergence     partial sums and last-term magnitudes        -> n_terms,t,partial_sum,last_term_abs
-stability       perturbation probe                           -> epsilon,max_deviation,c_estimate
+``fraclogistic --help`` lists the commands, each described by its
+handler's docstring; README gives the columns each one writes.
 
 Output is deterministic CSV (UTF-8, comma separated, LF line endings,
 header row, 12 significant digits), written to --output or stdout.
@@ -30,12 +20,12 @@ import contextlib
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import special
-from .adomian import ADOMIAN_MODES
 from .closed_forms import abc_exact_lambda0, classical_exact
 from .errors import ConvergenceError, SolverError
 from .hsv import geometric_closed_form, hsv_evaluate, hsv_iterate
@@ -85,7 +75,7 @@ _FLAGS = {
     "--operator": ("operator", str, "abc", "fractional operator"),
     "--n-terms": ("n_terms", _COUNT, 10, "series truncation order"),
     "--n-max": ("n_max", _COUNT, 8, "largest truncation order to report"),
-    "--mode": ("mode", str, "general", "delayed-product expansion"),
+    "--mode": ("mode", str, "general", "square takes lam = 1: the undelayed series"),
     "--vary": ("vary", str, None, "sweep axis (exact-lambda0 takes mu only)"),
     "--from": ("sweep_from", _FINITE, None, "sweep start (also ml-eval argument start)"),
     "--to": ("sweep_to", _FINITE, None, "sweep end (also ml-eval argument end)"),
@@ -100,26 +90,11 @@ _FLAGS = {
 
 _CHOICES = {
     "--operator": [kind.value for kind in OperatorKind],
-    "--mode": list(ADOMIAN_MODES),
+    "--mode": ["general", "square"],
     "--vary": ["mu", "lambda", "both"],
 }
 
 _SHARED = ("--r", "--k", "--z0", "--mu", "--lambda", "--b-norm", "--t-end")
-
-# the flags each command takes; every command takes --output and --config
-_COMMAND_FLAGS = {command: (*flags, "--output", "--config") for command, flags in {
-    "classical": (*_SHARED, "--points"),
-    "ml-eval": ("--mu", "--t-end", "--points", "--from", "--to"),
-    "exact-lambda0": (*_SHARED, "--points", "--vary", "--from", "--to", "--step"),
-    "hsv": (*_SHARED, "--points", "--n-terms", "--mode"),
-    "closed-form": (*_SHARED, "--points"),
-    "solve": (*_SHARED, "--points", "--h", "--operator"),
-    "compare": (*_SHARED, "--points", "--h"),
-    "surface": (*_SHARED, "--points", "--vary", "--from", "--to", "--step", "--at-t",
-                "--n-terms", "--mode"),
-    "convergence": (*_SHARED, "--points", "--n-max", "--mode"),
-    "stability": (*_SHARED, "--h", "--operator", "--epsilons"),
-}.items()}
 
 # sweep axis -> (default from, to, step), its range as text, the range test
 _SWEEPS = {"mu": ((0.1, 0.9, 0.1), "(0, 1]", lambda v: 0.0 < v <= 1.0),
@@ -174,11 +149,20 @@ def _curves(ns, params, curve) -> tuple:
                               np.concatenate(curves)]
 
 
+def _series(ns, params, n_terms):
+    """The HSV series; ``--mode square`` drops the delay, taking lam = 1."""
+    if ns.mode == "square":
+        params = dataclasses.replace(params, lam=1.0)
+    return hsv_iterate(params, n_terms)
+
+
 def _cmd_classical(ns, params):
+    """classical logistic closed form"""
     return _curves(ns, params, classical_exact)
 
 
 def _cmd_ml_eval(ns, params):
+    """E_mu on an argument grid (--from/--to)"""
     lo = 0.0 if ns.sweep_from is None else ns.sweep_from
     hi = ns.t_end if ns.sweep_to is None else ns.sweep_to
     if hi <= lo:
@@ -188,27 +172,32 @@ def _cmd_ml_eval(ns, params):
 
 
 def _cmd_exact_lambda0(ns, params):
+    """lam = 0 fractional closed form"""
     if ns.vary not in (None, "mu"):
         raise ValueError("exact-lambda0 supports only --vary mu")
     return _curves(ns, params, abc_exact_lambda0)
 
 
 def _cmd_hsv(ns, params):
+    """truncated HSV series values"""
     return _curves(ns, params, lambda params, ts: hsv_evaluate(
-        hsv_iterate(params, ns.n_terms, ns.mode), ts).value)
+        _series(ns, params, ns.n_terms), ts).value)
 
 
 def _cmd_closed_form(ns, params):
+    """geometric closed-form surrogate"""
     return _curves(ns, params, lambda params, ts: geometric_closed_form(params, ts).value)
 
 
 def _cmd_solve(ns, params):
+    """one numerical solver (--operator, --h)"""
     traj = solve(params, SolveConfig(ns.operator, ns.t_end, ns.h))
     ts = _grid(ns)
     return "t,z", [ts, np.interp(ts, traj.grid, traj.values)]
 
 
 def _cmd_compare(ns, params):
+    """all three operators, identical grid"""
     trio = compare_operators(params, SolveConfig(OperatorKind.ABC, ns.t_end, ns.h))
     ts = _grid(ns)
     return "t,z_abc,z_cfc,z_caputo", [ts, *(np.interp(ts, traj.grid, traj.values)
@@ -216,6 +205,7 @@ def _cmd_compare(ns, params):
 
 
 def _cmd_surface(ns, params):
+    """series sweeps (--vary mu, lambda or both)"""
     if ns.vary is None:
         raise ValueError("surface requires --vary (mu | lambda | both)")
     if ns.vary != "both":  # the hsv curve, swept
@@ -223,14 +213,15 @@ def _cmd_surface(ns, params):
     if (ns.sweep_from, ns.sweep_to, ns.sweep_step) != (None, None, None):
         raise ValueError("custom from/to/step are not supported with --vary both")
     mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
-    zs = [hsv_evaluate(hsv_iterate(dataclasses.replace(params, mu=mu, lam=lam),
-                                   ns.n_terms, ns.mode), ns.at_t).value
+    zs = [hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
+                               ns.n_terms), ns.at_t).value
           for mu in mus for lam in lams]
     return "mu,lambda,z", [np.repeat(mus, len(lams)), np.tile(lams, len(mus)), zs]
 
 
 def _cmd_convergence(ns, params):
-    sol = hsv_iterate(params, ns.n_max, ns.mode)
+    """series truncation behaviour (--n-max)"""
+    sol = _series(ns, params, ns.n_max)
     ts = _grid(ns)
     values = sol.term_values(ts)
     # x_0 = z0 > 0, so these running sums equal sum() from 0 bit for bit
@@ -242,24 +233,29 @@ def _cmd_convergence(ns, params):
 
 
 def _cmd_stability(ns, params):
+    """Hyers-Ulam probe (--epsilons)"""
     report = hyers_ulam_probe(params, SolveConfig(ns.operator, ns.t_end, ns.h),
                               sorted(ns.epsilons))
     return "epsilon,max_deviation,c_estimate", [report.epsilons, report.deviations,
                                                 report.c_estimates]
 
 
-_COMMANDS = {
-    "classical": _cmd_classical,
-    "ml-eval": _cmd_ml_eval,
-    "exact-lambda0": _cmd_exact_lambda0,
-    "hsv": _cmd_hsv,
-    "closed-form": _cmd_closed_form,
-    "solve": _cmd_solve,
-    "compare": _cmd_compare,
-    "surface": _cmd_surface,
-    "convergence": _cmd_convergence,
-    "stability": _cmd_stability,
-}
+# command -> (handler, the flags it takes); every command takes --output and --config
+_COMMANDS = {command: (handler, (*flags, "--output", "--config"))
+             for command, (handler, flags) in {
+    "classical": (_cmd_classical, (*_SHARED, "--points")),
+    "ml-eval": (_cmd_ml_eval, ("--mu", "--t-end", "--points", "--from", "--to")),
+    "exact-lambda0": (_cmd_exact_lambda0,
+                      (*_SHARED, "--points", "--vary", "--from", "--to", "--step")),
+    "hsv": (_cmd_hsv, (*_SHARED, "--points", "--n-terms", "--mode")),
+    "closed-form": (_cmd_closed_form, (*_SHARED, "--points")),
+    "solve": (_cmd_solve, (*_SHARED, "--points", "--h", "--operator")),
+    "compare": (_cmd_compare, (*_SHARED, "--points", "--h")),
+    "surface": (_cmd_surface, (*_SHARED, "--points", "--vary", "--from", "--to", "--step",
+                               "--at-t", "--n-terms", "--mode")),
+    "convergence": (_cmd_convergence, (*_SHARED, "--points", "--n-max", "--mode")),
+    "stability": (_cmd_stability, (*_SHARED, "--h", "--operator", "--epsilons")),
+}.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,9 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "closed forms, series solutions and numerical solvers.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _COMMAND_FLAGS.items():
-        sub = subparsers.add_parser(command, help=f"{command} dataset",
+    for command, (handler, flags) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=handler.__doc__, description=handler.__doc__,
                                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        # argparse takes only plain and decimal negatives for values; -5e-2 too
+        sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
         for flag, (dest, kind, default, text) in _FLAGS.items():
             if flag in flags:
                 sub.add_argument(flag, dest=dest, type=kind, default=default, help=text,
@@ -293,7 +291,7 @@ def _config_args(ns) -> list:
     args = []
     for key, value in entries.items():
         flag = "--" + key.lstrip("-").replace("_", "-")
-        if flag in _COMMAND_FLAGS[ns.command] and value is not None:
+        if flag in _COMMANDS[ns.command][1] and value is not None:
             args.append(f"{flag}={value}")
     return args
 
@@ -320,7 +318,7 @@ def main(argv=None) -> int:
             ns = _PARSER.parse_args([*argv[:1], *_config_args(ns), *argv[1:]])
         params = ModelParams(**{f.name: getattr(ns, f.name)
                                 for f in dataclasses.fields(ModelParams)})
-        header, columns = _COMMANDS[ns.command](ns, params)
+        header, columns = _COMMANDS[ns.command][0](ns, params)
         _write(header, columns, ns.output)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

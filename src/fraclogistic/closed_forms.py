@@ -58,8 +58,9 @@ def classical_fixed_points(p: ModelParams):
     return [(0.0, "unstable"), (p.k, "stable")]
 
 
-def _lambda0_denominator(p: ModelParams) -> float:
-    return p.b_norm + p.r * (1.0 - p.z0 / p.k) * (p.mu - 1.0)
+def _lambda0_terms(p: ModelParams) -> tuple:
+    """``B`` and ``r (1 - z0/k)(mu - 1)``, whose sum is the amplitude's denominator."""
+    return p.b_norm, p.r * (1.0 - p.z0 / p.k) * (p.mu - 1.0)
 
 
 def lambda0_amplitude(p: ModelParams) -> float:
@@ -67,10 +68,12 @@ def lambda0_amplitude(p: ModelParams) -> float:
 
     For mu < 1 this differs from z0: the integral form of the nonlocal
     operator jumps at t = 0 whenever the right-hand side is nonzero there.
-    A -> z0 continuously as mu -> 1.
+    A -> z0 continuously as mu -> 1.  The denominator must be positive by
+    more than 1e-12 of its terms' size, or cancellation could make up A.
     """
-    den = _lambda0_denominator(p)
-    if den < 1e-12:
+    b, feedback = _lambda0_terms(p)
+    den = b + feedback
+    if den < 1e-12 * (b + abs(feedback)):
         raise SingularParameterError(
             f"b_norm + r(1 - z0/k)(mu - 1) = {den} is not (numerically) positive"
         )
@@ -91,7 +94,7 @@ def abc_exact_lambda0(p: ModelParams, t):
     every t must be finite and >= 0.
     """
     _, power = special.time_powers(t, p.mu)
-    den = _lambda0_denominator(p)
+    den = sum(_lambda0_terms(p))
     amp = lambda0_amplitude(p)
     rate = p.r * (1.0 - p.z0 / p.k) * p.mu / den
     with np.errstate(over="ignore"):  # inf, as Python floats give

@@ -12,6 +12,9 @@ by r/B and transforms back:
 
     x_{n+1} = (1/B) S^-1[ r (1 - mu + mu u^mu) (S[x_n] - S[P_n]/k) ].
 
+The undelayed series, with the textbook Adomian table for z^2, is the
+lam = 1 series; the CLI's ``--mode square`` is shorthand for it.
+
 Every term lives on the lattice t^(k*mu), and x_i has i + 1 coefficients,
 so the iteration runs on one square coefficient matrix whose row i holds
 x_i.  A step forms only the polynomial P_n it needs, as a sum of n + 1
@@ -44,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 # perfbench/tracing.py wraps these series-layer names where hsv looks them up.
-from .adomian import ADOMIAN_MODES, adomian_delayed_product  # noqa: F401
+from .adomian import adomian_delayed_product  # noqa: F401
 from .errors import ConvergenceError
 from .model import ModelParams
 from .series import (  # noqa: F401
@@ -105,7 +108,6 @@ class HsvSolution:
     """
 
     params: ModelParams
-    mode: str
     coeffs: np.ndarray
 
     @property
@@ -134,12 +136,8 @@ class HsvSolution:
         return acc if np.ndim(t) else acc[:, 0]
 
 
-def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> HsvSolution:
+def hsv_iterate(params: ModelParams, n_terms: int) -> HsvSolution:
     """Generate the terms x_0 .. x_{n_terms}.
-
-    ``mode`` selects the Adomian expansion of the delayed product (see
-    :mod:`fraclogistic.adomian`): ``square`` is the unit-delay case, the
-    ``general`` path with delay factor 1, so both coincide for ``lam = 1``.
 
     Row i of an (n+1) x (n+1) matrix ``c`` holds the coefficients of x_i.
     Step n builds only ``P_n``: row p of ``prod`` collects the Cauchy
@@ -152,8 +150,6 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
         raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
     if n_terms > _MAX_TERMS:
         raise ValueError(f"n_terms must be at most {_MAX_TERMS}, got {n_terms}")
-    if mode not in ADOMIAN_MODES:
-        raise ValueError(f"mode must be one of {ADOMIAN_MODES}, got {mode!r}")
     p = params
     mu = p.mu
     try:
@@ -165,8 +161,7 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
         ) from None
     c = np.zeros((n_terms + 1, n_terms + 1))
     c[0, 0] = p.z0
-    lam = p.lam if mode == "general" else 1.0
-    delay = np.array([lam ** (k * mu) for k in range(n_terms + 1)])
+    delay = np.array([p.lam ** (k * mu) for k in range(n_terms + 1)])
     s = np.zeros_like(c)  # row i holds the delayed x_i
     s[0] = c[0] * delay
     factor = p.r / p.b_norm
@@ -187,7 +182,7 @@ def hsv_iterate(params: ModelParams, n_terms: int, mode: str = "general") -> Hsv
                 raise ValueError(f"term x_{n + 1} has non-finite coefficients")
             s[n + 1] = c[n + 1] * delay
     c.flags.writeable = False
-    return HsvSolution(params=p, mode=mode, coeffs=c)
+    return HsvSolution(params=p, coeffs=c)
 
 
 def hsv_evaluate(sol: HsvSolution, t) -> HsvEvaluation:

@@ -158,7 +158,7 @@ def convolution_check(f, g, rtol=1e-12):
     return True
 
 
-def reference_hsv_iterate(params, n_terms, mode="general"):
+def reference_hsv_iterate(params, n_terms):
     """Terms x_0 .. x_n of the HSV iteration, built from series objects.
 
     Each step rebuilds every Adomian polynomial ``P_0 .. P_n`` with
@@ -169,7 +169,7 @@ def reference_hsv_iterate(params, n_terms, mode="general"):
     p = params
     terms = [FracSeries(p.mu, (p.z0,))]
     for _ in range(n_terms):
-        poly = adomian_delayed_product(terms, p.lam, mode)[-1]
+        poly = adomian_delayed_product(terms, p.lam)[-1]
         combined = series_add(
             sumudu_forward(terms[-1]),
             series_scale(sumudu_forward(poly), -1.0 / p.k),

@@ -108,7 +108,7 @@ def test_criterion_03_adomian_fidelity():
             x0, x1, x2, x3 = (
                 random_frac_series(rng, mu, int(rng.integers(1, 6))) for _ in range(4)
             )
-            polys = adomian_delayed_product([x0, x1, x2, x3], 1.0, "square")
+            polys = adomian_delayed_product([x0, x1, x2, x3], 1.0)
             table = [
                 series_product(x0, x0),
                 series_scale(series_product(x0, x1), 2.0),
@@ -128,7 +128,7 @@ def test_criterion_03_adomian_fidelity():
             mu = rng.uniform(0.1, 1.0)
             coeffs = rng.uniform(-2.0, 2.0, size=5)
             terms = [FracSeries(mu, (0.0,) * i + (c,)) for i, c in enumerate(coeffs)]
-            polys = adomian_delayed_product(terms, 1.0, "general")
+            polys = adomian_delayed_product(terms, 1.0)
             total = terms[0]
             for x in terms[1:]:
                 total = series_add(total, x)
@@ -151,7 +151,7 @@ def test_criterion_04_hsv_term_fidelity():
         r, k, z0 = 0.5, 100.0, 10.0
         for mu in (0.3, 0.6, 0.9):
             p = ModelParams(r=r, k=k, z0=z0, mu=mu, lam=1.0)
-            sol = hsv_iterate(p, 2, "square")
+            sol = hsv_iterate(p, 2)
             pre1 = r * z0 * (1.0 - z0 / k)
             x1 = FracSeries(mu, (pre1 * (1 - mu), pre1 * mu / gamma_fn(mu + 1)))
             pre2 = z0 * r ** 2 * (1.0 - z0 / k) * (1.0 - 2.0 * z0 / k)
@@ -173,7 +173,7 @@ def test_criterion_04_hsv_term_fidelity():
             float(sympy.diff(expr, t, i).subs(t, 0) / sympy.factorial(i))
             for i in range(4)
         ]
-        sol = hsv_iterate(p, 3, "general")
+        sol = hsv_iterate(p, 3)
         partial = [0.0] * 4
         for term in sol.terms:
             for i, c in enumerate(term.coeffs):
@@ -218,7 +218,7 @@ def test_criterion_07_operator_coincidence():
 def test_criterion_08_hsv_vs_numerical():
     with budget(8, "HSV vs numerical solver", 5.0):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
-        sol = hsv_iterate(p, 10, "general")
+        sol = hsv_iterate(p, 10)
         traj = solve(p, SolveConfig(operator="abc", t_end=0.5, h=1e-3))
         series_values = np.array([hsv_evaluate(sol, t).value for t in traj.grid])
         assert max_rel(series_values, traj.values) < HSV_SOLVER_AGREEMENT_RTOL

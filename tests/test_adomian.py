@@ -28,7 +28,7 @@ def quadratic_table(terms):
 
 
 def test_constant_square():
-    p0 = adomian_delayed_product([FracSeries(0.5, (3.0,))], 1.0, "square")[0]
+    p0 = adomian_delayed_product([FracSeries(0.5, (3.0,))], 1.0)[0]
     assert p0.coeffs == (9.0,)
 
 
@@ -37,18 +37,9 @@ def test_table_against_direct_assembly():
     for _ in range(100):
         mu = rng.uniform(0.1, 1.0)
         terms = [random_frac_series(rng, mu, int(rng.integers(1, 6))) for _ in range(4)]
-        polys = adomian_delayed_product(terms, 1.0, "square")
+        polys = adomian_delayed_product(terms, 1.0)
         for got, expected in zip(polys, quadratic_table(terms)):
             assert_series_close(got, expected, rtol=1e-12, atol=1e-13)
-
-
-def test_general_mode_matches_square_at_lambda_one():
-    rng = np.random.default_rng(29)
-    terms = [random_frac_series(rng, 0.6, 4) for _ in range(4)]
-    general = adomian_delayed_product(terms, 1.0, "general")
-    square = adomian_delayed_product(terms, 1.0, "square")
-    for a, b in zip(general, square):
-        assert_series_close(a, b, rtol=0)
 
 
 def test_general_mode_hand_example():
@@ -56,7 +47,7 @@ def test_general_mode_hand_example():
     # P1 = c * x1(lam t) + x1(t) * c = 1.5 * c * a * t
     c, a = 3.0, 2.0
     terms = [FracSeries(1.0, (c,)), FracSeries(1.0, (0.0, a))]
-    p1 = adomian_delayed_product(terms, 0.5, "general")[1]
+    p1 = adomian_delayed_product(terms, 0.5)[1]
     assert p1.coeffs == pytest.approx((0.0, 1.5 * c * a), rel=1e-15)
 
 
@@ -70,7 +61,7 @@ def test_partial_sums_graded_inputs():
         terms = [
             FracSeries(mu, (0.0,) * i + (c,)) for i, c in enumerate(coeffs)
         ]
-        polys = adomian_delayed_product(terms, 1.0, "general")
+        polys = adomian_delayed_product(terms, 1.0)
         total = terms[0]
         for x in terms[1:]:
             total = series_add(total, x)
@@ -91,7 +82,7 @@ def test_partial_sums_pointwise_oracle():
     for _ in range(25):
         mu = rng.uniform(0.1, 1.0)
         terms = [random_frac_series(rng, mu, int(rng.integers(1, 5))) for _ in range(4)]
-        polys = adomian_delayed_product(terms, 1.0, "square")
+        polys = adomian_delayed_product(terms, 1.0)
         for t in rng.uniform(0.0, 1.5, size=5):
             values = [eval_series(x, t) for x in terms]
             for n in range(4):
@@ -108,7 +99,7 @@ def test_degree_bound():
     rng = np.random.default_rng(41)
     lengths = [3, 1, 4, 2]
     terms = [random_frac_series(rng, 0.5, n) for n in lengths]
-    polys = adomian_delayed_product(terms, 0.7, "general")
+    polys = adomian_delayed_product(terms, 0.7)
     for n, poly in enumerate(polys):
         bound = max(lengths[i] + lengths[n - i] - 1 for i in range(n + 1))
         assert len(poly.coeffs) <= bound
@@ -118,30 +109,25 @@ def test_p0_independent_of_lambda():
     x0 = FracSeries(0.5, (2.5,))
     rng = np.random.default_rng(43)
     extra = random_frac_series(rng, 0.5, 3)
-    for mode in ("general", "square"):
-        reference = adomian_delayed_product([x0, extra], 1.0, mode)[0]
-        for lam in (0.0, 0.3, 0.8):
-            p0 = adomian_delayed_product([x0, extra], lam, mode)[0]
-            assert p0.coeffs == reference.coeffs
+    reference = adomian_delayed_product([x0, extra], 1.0)[0]
+    for lam in (0.0, 0.3, 0.8):
+        p0 = adomian_delayed_product([x0, extra], lam)[0]
+        assert p0.coeffs == reference.coeffs
 
 
 def test_delayed_polynomials_depend_on_lambda_in_general_mode():
     rng = np.random.default_rng(47)
     terms = [FracSeries(0.5, (2.0,)), random_frac_series(rng, 0.5, 3)]
-    a = adomian_delayed_product(terms, 1.0, "general")[1]
-    b = adomian_delayed_product(terms, 0.4, "general")[1]
+    a = adomian_delayed_product(terms, 1.0)[1]
+    b = adomian_delayed_product(terms, 0.4)[1]
     assert a.coeffs != b.coeffs
-    square = adomian_delayed_product(terms, 0.4, "square")[1]
-    assert square.coeffs == adomian_delayed_product(terms, 1.0, "square")[1].coeffs
 
 
 def test_validation():
     with pytest.raises(ValueError, match="nonempty"):
         adomian_delayed_product([], 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lambda"):
         adomian_delayed_product([FracSeries(0.5, (1.0,))], 1.5)
-    with pytest.raises(ValueError):
-        adomian_delayed_product([FracSeries(0.5, (1.0,))], 0.5, mode="bogus")
     with pytest.raises(ValueError, match="mismatch"):
         adomian_delayed_product(
             [FracSeries(0.5, (1.0,)), FracSeries(0.7, (1.0,))], 0.5

@@ -11,7 +11,7 @@ import pytest
 
 import fraclogistic
 from fraclogistic import ModelParams, abc_exact_lambda0, mittag_leffler
-from fraclogistic.cli import _COMMAND_FLAGS, main
+from fraclogistic.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +193,26 @@ class TestSeriesCommands:
         assert code == 2
         assert "vary" in err
 
+    @pytest.mark.parametrize("command, lam", [("hsv", "0.2"), ("convergence", "0.3")])
+    def test_square_mode_is_the_undelayed_series(self, capsys, command, lam):
+        square = run_cli(capsys, command, "--mode", "square", "--lambda", lam)
+        undelayed = run_cli(capsys, command, "--lambda", "1")
+        assert square[0] == 0
+        assert square == undelayed
+
+    def test_square_mode_surface_repeats_the_undelayed_curve(self, capsys):
+        grid = ("--t-end", "5", "--points", "6", "--n-terms", "8")
+        code, out, _ = run_cli(capsys, "surface", "--vary", "lambda", "--mode", "square",
+                               *grid)
+        assert code == 0
+        curve = run_cli(capsys, "hsv", "--lambda", "1", *grid)[1].splitlines()[1:]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 10 * len(curve)
+        for start in range(0, len(rows), len(curve)):
+            block = rows[start:start + len(curve)]
+            assert len({lam for _, lam, _ in block}) == 1
+            assert [f"{t},{z}" for t, _, z in block] == curve
+
 
 class TestOutputContract:
     def test_deterministic(self, capsys):
@@ -358,6 +378,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "classical", "--config", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, joined", [
+        (("classical", "--r", "-5e-2"), ("classical", "--r=-5e-2")),
+        # --k after the value is still a flag
+        (("classical", "--r", "-5E-2", "--k", "50"), ("classical", "--r=-5E-2", "--k", "50")),
+        (("ml-eval", "--from", "-1e2", "--to", "0"), ("ml-eval", "--from=-1e2", "--to", "0")),
+        (("ml-eval", "--from", "-.5e+1", "--to", "0"), ("ml-eval", "--from=-.5e+1", "--to", "0")),
+    ])
+    def test_negative_exponent_values(self, capsys, argv, joined):
+        # a negative number with an exponent reads as its --flag=value spelling
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *joined) == (code, out, err)
+
     def test_module_entry_point(self):
         proc = run_python("-m", "fraclogistic", "classical", "--t-end", "1", "--points", "2")
         assert proc.returncode == 0
@@ -372,7 +405,7 @@ def test_runtime_imports_neither_scipy_nor_mpmath():
         "exact-lambda0": ["--z0", "200", "--vary", "mu"],
         "surface": ["--vary", "both"],
     }
-    commands = [[name, *extra.get(name, [])] for name in _COMMAND_FLAGS]
+    commands = [[name, *extra.get(name, [])] for name in _COMMANDS]
     script = (
         "import contextlib, io, sys\n"
         "from fraclogistic.cli import main\n"
@@ -393,14 +426,20 @@ def _readme_command_line():
 
 def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
     # every example in README's "Command line" section runs and prints a
-    # header that the section's table gives for its command
+    # header that the section's table gives for its command, and --help
+    # describes each command as the table's "what it emits" cell does
     section = _readme_command_line()
-    headers = {}
+    headers, emits = {}, {}
     for line in section.splitlines():
         cells = line.split("|")
         if len(cells) > 3 and cells[1].strip().startswith("`"):
             headers[cells[1].strip(" `")] = re.findall(r"`([^`]+)`", cells[2])
-    assert sorted(headers) == sorted(_COMMAND_FLAGS)
+            emits[cells[1].strip(" `")] = cells[3].replace("`", "").strip()
+    assert sorted(headers) == sorted(_COMMANDS)
+    monkeypatch.setenv("COLUMNS", "200")  # one line per command
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    assert dict(re.findall(r"^ {4}(\S+) +(\S.*)$", out, re.M)) == emits
     monkeypatch.chdir(tmp_path)
     ran = 0
     for block in re.findall(r"```bash\n(.*?)```", section, re.S):
@@ -421,4 +460,4 @@ def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
 def test_readme_lists_every_flag():
     section = _readme_command_line()
     listed = re.search(r"Flags: `([^`]+)`", section).group(1).split()
-    assert sorted(listed) == sorted({f for flags in _COMMAND_FLAGS.values() for f in flags})
+    assert sorted(listed) == sorted({f for _, flags in _COMMANDS.values() for f in flags})

@@ -6,11 +6,14 @@ from scipy.special import erfcx
 
 from fraclogistic import (
     ModelParams,
+    OperatorKind,
     SingularParameterError,
+    SolveConfig,
     abc_exact_lambda0,
     classical_exact,
     classical_fixed_points,
     lambda0_amplitude,
+    solve,
 )
 
 P = ModelParams(r=1.0, k=100.0, z0=10.0, mu=1.0, lam=1.0)
@@ -147,6 +150,14 @@ class TestLambdaZeroForm:
             lambda0_amplitude(p)
         with pytest.raises(SingularParameterError):
             abc_exact_lambda0(p, 1.0)
+
+    def test_small_normalization_is_not_singular(self):
+        # the denominator is b_norm = 1e-13 itself: small, but nothing cancels
+        p = ModelParams(r=0.0, k=100.0, z0=10.0, mu=0.5, lam=0.0, b_norm=1e-13)
+        assert lambda0_amplitude(p) == p.z0
+        ts = np.linspace(0.0, 2.0, 201)
+        traj = solve(p, SolveConfig(OperatorKind.ABC, 2.0, 0.01))
+        np.testing.assert_array_equal(abc_exact_lambda0(p, ts), traj.values)
 
     def test_negative_time_rejected(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)

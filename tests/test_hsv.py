@@ -22,6 +22,10 @@ from helpers import assert_series_close, reference_hsv_iterate
 
 BASE = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.6, lam=1.0)
 
+# Delay cases, named as the CLI's --mode spells them: "square" is the
+# undelayed product, lam = 1; "general" keeps a delay lam < 1.
+DELAYS = pytest.mark.parametrize("lam", [0.37, 1.0], ids=["general", "square"])
+
 
 def expected_x1(p):
     pre = p.r * p.z0 / p.b_norm * (1.0 - p.z0 / p.k)
@@ -29,23 +33,26 @@ def expected_x1(p):
 
 
 def expected_x2(p):
-    pre = p.z0 * (p.r / p.b_norm) ** 2 * (1.0 - p.z0 / p.k) * (1.0 - 2.0 * p.z0 / p.k)
+    # P_1 = z0 (x_1(t) + x_1(lam t)): the delay scales the t^mu part by lam^mu
+    pre = p.z0 * (p.r / p.b_norm) ** 2 * (1.0 - p.z0 / p.k)
     mu = p.mu
+    c0 = pre * (1.0 - mu) * (1.0 - 2.0 * p.z0 / p.k)
+    c1 = pre * mu * (1.0 - (1.0 + p.lam ** mu) * p.z0 / p.k)
     return FracSeries(
         mu,
         (
-            pre * (1.0 - mu) ** 2,
-            pre * 2.0 * (1.0 - mu) * mu / gamma_fn(mu + 1.0),
-            pre * mu ** 2 / gamma_fn(2.0 * mu + 1.0),
+            c0 * (1.0 - mu),
+            (c0 * mu + c1 * (1.0 - mu)) / gamma_fn(mu + 1.0),
+            c1 * mu / gamma_fn(2.0 * mu + 1.0),
         ),
     )
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.6, 0.9])
-@pytest.mark.parametrize("mode", ["square", "general"])
-def test_first_terms_match_closed_coefficients(mu, mode):
-    p = ModelParams(r=0.5, k=100.0, z0=10.0, mu=mu, lam=1.0)
-    sol = hsv_iterate(p, 2, mode)
+@DELAYS
+def test_first_terms_match_closed_coefficients(mu, lam):
+    p = ModelParams(r=0.5, k=100.0, z0=10.0, mu=mu, lam=lam)
+    sol = hsv_iterate(p, 2)
     assert sol.terms[0].coeffs == (p.z0,)
     assert_series_close(sol.terms[1], expected_x1(p), rtol=1e-12)
     assert_series_close(sol.terms[2], expected_x2(p), rtol=1e-12)
@@ -69,7 +76,7 @@ def test_classical_limit_matches_taylor_polynomial():
     taylor = [
         float(sympy.diff(expr, t, i).subs(t, 0) / sympy.factorial(i)) for i in range(4)
     ]
-    sol = hsv_iterate(p, 3, "general")
+    sol = hsv_iterate(p, 3)
     partial = [0.0] * 4
     for term in sol.terms:
         for i, c in enumerate(term.coeffs):
@@ -78,7 +85,7 @@ def test_classical_limit_matches_taylor_polynomial():
 
 
 def test_term_lengths_bounded():
-    sol = hsv_iterate(BASE, 6, "general")
+    sol = hsv_iterate(BASE, 6)
     for i, term in enumerate(sol.terms):
         assert len(term.coeffs) <= i + 1
     assert sol.truncation == 6
@@ -86,16 +93,16 @@ def test_term_lengths_bounded():
 
 def test_evaluate_at_zero():
     p1 = ModelParams(r=0.5, k=100.0, z0=10.0, mu=1.0, lam=1.0)
-    sol = hsv_iterate(p1, 5, "general")
+    sol = hsv_iterate(p1, 5)
     assert hsv_evaluate(sol, 0.0).value == p1.z0
     # for mu < 1 the constant parts of the corrections shift the t = 0 value
-    sol6 = hsv_iterate(BASE, 5, "general")
+    sol6 = hsv_iterate(BASE, 5)
     assert hsv_evaluate(sol6, 0.0).value != BASE.z0
 
 
 def test_zero_growth_rate_is_flat():
     p = ModelParams(r=0.0, k=100.0, z0=10.0, mu=0.7, lam=0.5)
-    sol = hsv_iterate(p, 5, "general")
+    sol = hsv_iterate(p, 5)
     for t in (0.0, 1.0, 5.0):
         out = hsv_evaluate(sol, t)
         assert out.value == p.z0
@@ -103,16 +110,16 @@ def test_zero_growth_rate_is_flat():
 
 
 def test_equilibrium_start_is_flat():
-    p = ModelParams(r=0.4, k=100.0, z0=100.0, mu=0.6, lam=0.3)
-    for mode in ("general", "square"):
-        sol = hsv_iterate(p, 5, mode)
+    for lam in (0.3, 1.0):
+        p = ModelParams(r=0.4, k=100.0, z0=100.0, mu=0.6, lam=lam)
+        sol = hsv_iterate(p, 5)
         for t in (0.0, 2.0, 8.0):
             assert hsv_evaluate(sol, t).value == p.z0
 
 
 def test_first_order_taylor_at_classical_order():
     p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=1.0, lam=1.0)
-    sol = hsv_iterate(p, 1, "general")
+    sol = hsv_iterate(p, 1)
     slope = p.r * p.z0 * (1.0 - p.z0 / p.k)
     for t in (0.0, 0.5, 1.0):
         assert hsv_evaluate(sol, t).value == pytest.approx(p.z0 + slope * t, rel=1e-14)
@@ -123,7 +130,7 @@ def test_truncation_decay_where_ratio_small():
     # termwise decay is asserted where |q| <= 0.3
     for mu, t_max in ((0.9, 4.0), (0.5, 1.0)):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=mu, lam=1.0)
-        sol = hsv_iterate(p, 8, "general")
+        sol = hsv_iterate(p, 8)
         for t in np.linspace(0.0, t_max, 33):
             assert abs(geometric_closed_form(p, t).ratio) < 0.5
             mags = [abs(v) for v in sol.term_values(t)[1:]]
@@ -131,34 +138,14 @@ def test_truncation_decay_where_ratio_small():
 
 
 def test_delay_changes_general_mode_only():
-    fast = hsv_iterate(
-        ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=1.0), 4, "general"
-    )
-    slow = hsv_iterate(
-        ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=0.3), 4, "general"
-    )
+    fast = hsv_iterate(ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=1.0), 4)
+    slow = hsv_iterate(ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=0.3), 4)
     assert fast.terms[2].coeffs != slow.terms[2].coeffs
-    sq_fast = hsv_iterate(
-        ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=1.0), 4, "square"
-    )
-    sq_slow = hsv_iterate(
-        ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=0.3), 4, "square"
-    )
-    assert sq_fast.terms[2].coeffs == sq_slow.terms[2].coeffs
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-def test_square_mode_is_the_unit_delay(lam):
-    square = hsv_iterate(ModelParams(r=0.4, k=100.0, z0=10.0, mu=0.7, lam=lam), 12, "square")
-    unit = hsv_iterate(ModelParams(r=0.4, k=100.0, z0=10.0, mu=0.7, lam=1.0), 12, "general")
-    np.testing.assert_array_equal(square.coeffs, unit.coeffs)
 
 
 def test_iterate_validation():
     with pytest.raises(ValueError):
         hsv_iterate(BASE, 0)
-    with pytest.raises(ValueError):
-        hsv_iterate(BASE, 3, mode="bogus")
 
 
 def test_truncation_order_limits():
@@ -173,29 +160,29 @@ def test_truncation_order_limits():
         hsv_iterate(classical, 175)
 
 
-def _assert_matches_reference(p, n, mode):
-    got = [term.coeffs for term in hsv_iterate(p, n, mode).terms]
-    want = [term.coeffs for term in reference_hsv_iterate(p, n, mode)]
+def _assert_matches_reference(p, n):
+    got = [term.coeffs for term in hsv_iterate(p, n).terms]
+    want = [term.coeffs for term in reference_hsv_iterate(p, n)]
     assert got == want
 
 
-@pytest.mark.parametrize("mode", ["general", "square"])
+@pytest.mark.parametrize("lams", [(0.0, 0.37), (1.0,)], ids=["general", "square"])
 @pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.9, 1.0])
-def test_terms_match_reference_exactly(mu, mode):
+def test_terms_match_reference_exactly(mu, lams):
     # same floating-point operations in the same order: equality, not closeness
-    for lam, r, z0 in itertools.product((0.0, 0.37, 1.0), (0.1, -0.7, 2.0), (10.0, 150.0)):
+    for lam, r, z0 in itertools.product(lams, (0.1, -0.7, 2.0), (10.0, 150.0)):
         p = ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam)
         for n in (1, 2, 10):
-            _assert_matches_reference(p, n, mode)
+            _assert_matches_reference(p, n)
 
 
 @pytest.mark.parametrize(
-    ("mu", "lam", "mode", "r", "z0"),
-    [(0.05, 0.37, "general", 2.0, 150.0), (0.5, 0.0, "general", -0.7, 10.0),
-     (0.9, 0.37, "square", 0.1, 150.0), (1.0, 1.0, "general", 2.0, 10.0)],
+    ("mu", "lam", "r", "z0"),
+    [(0.05, 0.37, 2.0, 150.0), (0.5, 0.0, -0.7, 10.0), (0.9, 1.0, 0.1, 150.0),
+     (1.0, 1.0, 2.0, 10.0)],
 )
-def test_long_run_matches_reference_exactly(mu, lam, mode, r, z0):
-    _assert_matches_reference(ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam), 30, mode)
+def test_long_run_matches_reference_exactly(mu, lam, r, z0):
+    _assert_matches_reference(ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam), 30)
 
 
 def test_overflowing_coefficients_raise():
@@ -212,11 +199,11 @@ def _termwise(sol, t):
     return sum(values), abs(values[-1])
 
 
-@pytest.mark.parametrize("mode", ["general", "square"])
+@DELAYS
 @pytest.mark.parametrize("mu", [0.3, 0.7, 0.9, 1.0])
-def test_array_evaluation_matches_scalar_and_termwise_exactly(mu, mode):
-    p = ModelParams(r=0.8, k=100.0, z0=10.0, mu=mu, lam=0.37)
-    sol = hsv_iterate(p, 30, mode)
+def test_array_evaluation_matches_scalar_and_termwise_exactly(mu, lam):
+    p = ModelParams(r=0.8, k=100.0, z0=10.0, mu=mu, lam=lam)
+    sol = hsv_iterate(p, 30)
     ts = np.concatenate([np.linspace(0.0, 10.0, 101), [1e-300, 0.3, 1e3, 1e300]])
     out = hsv_evaluate(sol, ts)
     assert out.value.shape == out.last_term.shape == ts.shape
@@ -299,7 +286,7 @@ class TestGeometricForm:
         # surrogate and exact series share z0 + z0*q; they drift apart at
         # order q^2 (the exact terms carry factorial-type denominators)
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0, lam=1.0)
-        sol = hsv_iterate(p, 12, "general")
+        sol = hsv_iterate(p, 12)
         for t in (0.01, 0.05, 0.2, 0.5):
             q = geometric_closed_form(p, t).ratio
             gap = geometric_gap(sol, t)
