@@ -149,11 +149,17 @@ def _curves(ns, params, curve) -> tuple:
                               np.concatenate(curves)]
 
 
-def _series(ns, params, n_terms):
-    """The HSV series; ``--mode square`` drops the delay, taking lam = 1."""
+def _series(ns, params, n_terms, built):
+    """The HSV series; ``--mode square`` drops the delay, taking lam = 1.
+
+    ``built`` maps the series' parameters to the series, so one command
+    builds each distinct series once.
+    """
     if ns.mode == "square":
         params = dataclasses.replace(params, lam=1.0)
-    return hsv_iterate(params, n_terms)
+    if params not in built:
+        built[params] = hsv_iterate(params, n_terms)
+    return built[params]
 
 
 def _cmd_classical(ns, params):
@@ -180,8 +186,9 @@ def _cmd_exact_lambda0(ns, params):
 
 def _cmd_hsv(ns, params):
     """truncated HSV series values"""
+    built = {}
     return _curves(ns, params, lambda params, ts: hsv_evaluate(
-        _series(ns, params, ns.n_terms), ts).value)
+        _series(ns, params, ns.n_terms, built), ts).value)
 
 
 def _cmd_closed_form(ns, params):
@@ -213,15 +220,16 @@ def _cmd_surface(ns, params):
     if (ns.sweep_from, ns.sweep_to, ns.sweep_step) != (None, None, None):
         raise ValueError("custom from/to/step are not supported with --vary both")
     mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
+    built = {}
     zs = [hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
-                               ns.n_terms), ns.at_t).value
+                               ns.n_terms, built), ns.at_t).value
           for mu in mus for lam in lams]
     return "mu,lambda,z", [np.repeat(mus, len(lams)), np.tile(lams, len(mus)), zs]
 
 
 def _cmd_convergence(ns, params):
     """series truncation behaviour (--n-max)"""
-    sol = _series(ns, params, ns.n_max)
+    sol = _series(ns, params, ns.n_max, {})
     ts = _grid(ns)
     values = sol.term_values(ts)
     # x_0 = z0 > 0, so these running sums equal sum() from 0 bit for bit

@@ -20,11 +20,13 @@ The singular integral uses product integration on a uniform grid:
 the smooth factor f is replaced by its piecewise-linear interpolant
 (product trapezoid), and the kernel is integrated exactly against it.
 The history weights depend only on the lag n - j, so the history sum is
-a discrete convolution: pairs within one aligned block of 64 nodes are
-summed directly, longer-range pairs in doubling blocks by FFT (Hairer,
-Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
-A run of M steps costs O(M log^2 M) and gives the direct sum's values up
-to rounding.
+a discrete convolution, added in aligned doubling blocks (Hairer, Lubich
+and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each node n whose
+lowest set bit L is at least 8, the sources f[n-L:n] are added into the
+targets n .. n+L-1 at once, by a dense Toeplitz product for L < 64 and by
+FFT beyond.  Pairs within one aligned 8-node sub-block are summed by the
+step itself.  A run of M steps costs O(M log^2 M) and gives the direct
+sum's values up to rounding.
 
 Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
 each step an equation in the unknown z_n.  The delayed value is affine in
@@ -60,6 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -77,10 +80,10 @@ __all__ = [
     "compare_operators",
 ]
 
-# Longer runs are refused up front: 2e6 ABC steps take about 11 s and
-# 230 MB on a 2-vCPU Xeon, and time and memory grow slightly faster than M.
+# Longer runs are refused up front: 2e6 ABC steps take about 9 s and
+# 205 MB on a 2-vCPU Xeon, and time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
-# History pairs closer than one aligned block are summed directly.
+# History blocks of this many nodes and more are added by FFT.
 _BLOCK = 64
 # Lag weights: 12 Gauss-Legendre nodes, mapped to [0, 1] with the factor
 # (1 - s) folded into the weights, resolve (1 + s)^(mu-1) to rounding; from
@@ -236,55 +239,9 @@ def solve(
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
     grid = h * np.arange(n_steps + 1)
     z = np.zeros(n_steps + 1)
-    f_hist = np.zeros(n_steps + 1)
-
-    def step(n: int, base: float, diag: float) -> None:
-        """Solve z_n = base + diag * f(t_n, z_n, z(lam t_n)); store z_n and f_n."""
-        # delayed value a + b * z_n
-        if lam == 0.0:
-            a, b = z0, 0.0
-        else:
-            pos = lam * n  # grid units of lam * t_n
-            j = int(pos)
-            if j >= n:
-                a, b = 0.0, 1.0
-            else:
-                theta = pos - j
-                a = (1.0 - theta) * z.item(j)
-                if j + 1 == n:
-                    b = theta
-                else:
-                    a, b = a + theta * z.item(j + 1), 0.0
-        # A z^2 + B z - C = 0
-        rd = diag * r
-        qa = rd * b / k
-        qb = 1.0 - rd * (1.0 - a / k)
-        qc = base + diag * forcing
-        if qa == 0.0:
-            if qb == 0.0:
-                raise SolverError(f"no real root at step {n}", step=n)
-            zn = qc / qb
-        else:
-            disc = qb * qb + 4.0 * qa * qc
-            if disc < 0.0:
-                raise SolverError(f"no real root at step {n}", step=n)
-            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-            if q == 0.0:  # double root at 0
-                zn = 0.0
-            else:
-                # the two roots, each without cancellation
-                r1, r2 = q / qa, -qc / q
-                prev = z.item(n - 1) if n > 0 else z0
-                zn = r1 if abs(r1 - prev) < abs(r2 - prev) else r2
-        if not math.isfinite(zn):
-            raise SolverError(f"non-finite state at step {n}", step=n)
-        if zn <= 0.0:
-            raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
-        z[n] = zn
-        f_hist[n] = logistic_rhs(p, zn, a + b * zn, forcing)
 
     op = cfg.operator
-
+    cfc = op is OperatorKind.CFC
     c_point = 0.0 if op is OperatorKind.CAPUTO else (1.0 - mu) / p.b_norm
     if op is OperatorKind.ABC:
         c_quad = mu / (p.b_norm * gamma_fn(mu))
@@ -293,33 +250,31 @@ def solve(
     else:  # CFC
         c_quad = mu / p.b_norm
 
-    # Initial node: ABC keeps its pointwise f term at t = 0 (the jump
-    # amplitude on linear problems); CFC's f(t) - f(0) term vanishes there.
-    step(0, z0, c_point if op is OperatorKind.ABC else 0.0)
-    f0 = float(f_hist[0])
-
-    if op is OperatorKind.CFC:
+    if cfc:
         diag = c_point + c_quad * 0.5 * h
-        base0 = z0 - c_point * f0
-        integral = 0.0  # quadrature over completed cells
-        for n in range(1, n_steps + 1):
-            f_prev = f_hist.item(n - 1)
-            step(n, base0 + c_quad * (integral + 0.5 * h * f_prev), diag)
-            integral += 0.5 * h * (f_prev + f_hist.item(n))
     else:
-        w, end = _lag_weights(mu, max(n_steps, _BLOCK))
-        # far[n]: history of node n from nodes in earlier blocks, plus the
-        # j = 0 end correction
-        far = end[:n_steps + 1] * f0
-        w_scale = h ** mu / (mu * (mu + 1.0))
-        diag = c_point + c_quad * w_scale
-        near = w[_BLOCK:0:-1]  # near[i] = w[_BLOCK - i]
+        # far[n]: history of node n from nodes before its 8-node sub-block,
+        # plus the j = 0 end correction; nodes in the sub-block are summed
+        # per step from near_w[s][i] = w[s - i].  far has room for node
+        # n_steps + 1, which the last pass of the loop prepares unused.
+        w, end = _lag_weights(mu, max(n_steps + 1, _BLOCK))
+        c_hist = c_quad * (h ** mu / (mu * (mu + 1.0)))
+        diag = c_point + c_hist
+        near_w = [w[s:0:-1].tolist() for s in range(8)]
+        f_hist = np.zeros(n_steps + 1)
+        # blocks of 8, 16 and 32 nodes go through dense Toeplitz matrices,
+        # tiles[L][i, j] = w[L + i - j]; longer ones through FFT
+        idx = np.arange(_BLOCK // 2)
+        tiles = {size: w[size + idx[:size, None] - idx[:size]] for size in (8, 16, 32)}
         spectra = {}  # rfft of w[1:2P], by piece length P
 
         def add_far(n: int) -> None:
             """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n."""
             size = n & -n
             count = min(size, n_steps + 1 - n)
+            if size < _BLOCK:
+                far[n:n + count] += tiles[size][:count] @ f_hist[n - size:n]
+                return
             # Sources go in pieces of P >= count nodes (at most 8 pieces), so
             # a block that runs past the last node needs no full-size FFT.
             # A piece ending off nodes before n reaches its targets through
@@ -338,16 +293,90 @@ def solve(
                                     * spec, 2 * piece)
                 far[n:n + count] += conv[piece - 1:piece - 1 + count]
 
-        c_lag = c_quad * w_scale
-        for n in range(1, n_steps + 1):
-            near_len = n % _BLOCK
-            if near_len:
-                lag = far.item(n) + float(np.dot(near[_BLOCK - near_len:],
-                                                 f_hist[n - near_len:n]))
+    # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
+    # keeps its pointwise f term (the jump amplitude on linear problems);
+    # CFC's f(t) - f(0) term vanishes there.  The loop calls numpy only where
+    # a node starts an 8-node sub-block, at node s say: z and f are written
+    # back in eights, and zd is z[lo:hi] with lo = int(lam * s), followed by
+    # the sub-block's nodes as they are solved.  The sub-block's delayed
+    # values read z[j] as zd[j - lo]: hi = int(lam * (s + 7)) + 2 covers
+    # them all, or else hi = s and the appended nodes cover the rest.
+    base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
+    zn = z0  # the previous node's value; z0 before the first
+    zd, lo, fs = [], 0, []
+    for n in range(n_steps + 1):
+        # delayed value a + b * z_n
+        if lam == 0.0:
+            a, b = z0, 0.0
+        else:
+            pos = lam * n  # grid units of lam * t_n
+            j = int(pos)
+            if j >= n:
+                a, b = 0.0, 1.0
             else:
-                add_far(n)
-                lag = far.item(n)
-            step(n, z0 + c_lag * lag, diag)
+                theta = pos - j
+                a = (1.0 - theta) * zd[j - lo]
+                if j + 1 == n:
+                    b = theta
+                else:
+                    a, b = a + theta * zd[j + 1 - lo], 0.0
+        # A z^2 + B z - C = 0
+        rd = d * r
+        qa = rd * b / k
+        qb = 1.0 - rd * (1.0 - a / k)
+        qc = base + d * forcing
+        if qa == 0.0:
+            if qb == 0.0:
+                raise SolverError(f"no real root at step {n}", step=n)
+            zn = qc / qb
+        else:
+            disc = qb * qb + 4.0 * qa * qc
+            if disc < 0.0:
+                raise SolverError(f"no real root at step {n}", step=n)
+            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            if q == 0.0:  # double root at 0
+                zn = 0.0
+            else:
+                # the two roots, each without cancellation; the one nearest
+                # the previous node
+                r1, r2 = q / qa, -qc / q
+                zn = r1 if abs(r1 - zn) < abs(r2 - zn) else r2
+        if not math.isfinite(zn):
+            raise SolverError(f"non-finite state at step {n}", step=n)
+        if zn <= 0.0:
+            raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
+        fn = logistic_rhs(p, zn, a + b * zn, forcing)
+        zd.append(zn)
+        fs.append(fn)
+
+        # the history of node m = n + 1
+        if not n:  # f(0) is known
+            d = diag
+            if cfc:
+                base0, integral = z0 - c_point * fn, 0.0  # quadrature over completed cells
+            else:
+                far = end * fn
+                far_blk = far[:8].tolist()
+        elif cfc:
+            integral += 0.5 * h * (f_prev + fn)
+        m = n + 1
+        sub = m & 7
+        if not sub:  # m starts a sub-block
+            z[m - 8:m] = zd[-8:]
+            if not cfc and m <= n_steps:
+                f_hist[m - 8:m] = fs
+                add_far(m)
+                far_blk = far[m:m + 8].tolist()
+            lo = int(lam * m)
+            zd = z[lo:min(m, int(lam * (m + 7)) + 2)].tolist()
+            fs = []
+        if cfc:
+            base = base0 + c_quad * (integral + 0.5 * h * fn)
+            f_prev = fn
+        else:
+            base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs)))
+    tail = (n_steps + 1) & 7
+    z[n_steps + 1 - tail:] = zd[len(zd) - tail:]
 
     return Trajectory(grid=grid, values=z, operator=op, params=p)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fraclogistic
-from fraclogistic import ModelParams, abc_exact_lambda0, mittag_leffler
+from fraclogistic import ModelParams, abc_exact_lambda0, hsv_iterate, mittag_leffler
 from fraclogistic.cli import _COMMANDS, main
 
 
@@ -212,6 +212,26 @@ class TestSeriesCommands:
             block = rows[start:start + len(curve)]
             assert len({lam for _, lam, _ in block}) == 1
             assert [f"{t},{z}" for t, _, z in block] == curve
+
+    @pytest.mark.parametrize("vary, builds", [("both", 9), ("lambda", 1)])
+    def test_square_mode_surface_builds_each_series_once(self, capsys, monkeypatch,
+                                                          vary, builds):
+        # --mode square takes lam = 1: the lambda sweep repeats one series
+        calls = []
+
+        def counted(params, n_terms):
+            calls.append(params)
+            return hsv_iterate(params, n_terms)
+
+        monkeypatch.setattr("fraclogistic.cli.hsv_iterate", counted)
+        argv = ("surface", "--vary", vary, "--mode", "square", "--n-terms", "4",
+                "--points", "3")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert len(calls) == len(set(calls)) == builds
+        # nothing carries over to the next call
+        assert run_cli(capsys, *argv) == first
+        assert len(calls) == 2 * builds
 
 
 class TestOutputContract:

@@ -13,6 +13,7 @@ from fraclogistic import (
     classical_exact,
     compare_operators,
     lambda0_amplitude,
+    logistic_rhs,
     solve,
 )
 from fraclogistic.solvers import _GL_HALF, _GL_HALF_WEIGHTS, _MAX_STEPS, _lag_weights
@@ -128,6 +129,21 @@ class TestBasicBehaviour:
             traj = solve(p, SolveConfig(operator=op, t_end=8.0, h=0.02))
             assert np.all(traj.values > 0.0)
 
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_one_rhs_call_per_node(self, monkeypatch, operator):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return logistic_rhs(*args)
+
+        monkeypatch.setattr("fraclogistic.solvers.logistic_rhs", counted)
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=0.37)
+        for steps in (1, 100, 1100):
+            calls.clear()
+            traj = solve(p, SolveConfig(operator=operator, t_end=steps * 0.01, h=0.01))
+            assert len(traj.values) == len(calls) == steps + 1
+
     def test_grid_metadata(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=1.0)
         cfg = SolveConfig(operator="cfc", t_end=1.0, h=0.1)
@@ -169,6 +185,15 @@ class TestFailureModes:
              22, "non-positive"),
             (ModelParams(r=-30.0, k=100.0, z0=150.0, mu=0.9, lam=1.0), "abc", 0.05,
              0, "no real root"),
+            # past the 8-, 64- and 256-node history blocks
+            (ModelParams(r=5.0, k=100.0, z0=150.0, mu=0.5, lam=0.5), "abc", 0.02,
+             114, "non-positive"),
+            (ModelParams(r=3.0, k=100.0, z0=150.0, mu=0.3, lam=0.5), "abc", 0.01,
+             449, "non-positive"),
+            (ModelParams(r=-5.0, k=100.0, z0=150.0, mu=0.9, lam=0.5), "caputo", 0.01,
+             67, "non-positive"),
+            (ModelParams(r=10.0, k=100.0, z0=10.0, mu=0.5, lam=0.0), "caputo", 0.02,
+             239, "non-finite"),
         ],
     )
     def test_inadmissible_root_reports_step(self, params, operator, h, step, message):
@@ -186,16 +211,21 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     # the ids name the product-trapezoid rule the cases check
-    @pytest.mark.parametrize("lam, pantograph", [(0.0, True), (0.37, True), (1.0, True),
-                                                 (0.37, False)],
+    # at lam = 0.95 the delayed value reaches into the node's own 8-node
+    # sub-block up to node 159, at lam = 0.37 only in the first sub-block
+    @pytest.mark.parametrize("lam, pantograph", [(0.0, True), (0.37, True), (0.95, True),
+                                                 (1.0, True), (0.37, False)],
                              ids=["0.0-True-trapezoid", "0.37-True-trapezoid",
-                                  "1.0-True-trapezoid", "0.37-False-trapezoid"])
+                                  "0.95-True-trapezoid", "1.0-True-trapezoid",
+                                  "0.37-False-trapezoid"])
     def test_matches_reference(self, operator, lam, pantograph):
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
         h = 2.0 ** -6
-        # step counts straddle the 64-node history blocks; at 1100 the
+        # step counts straddle the history blocks: the dense 8-, 16- and
+        # 32-node blocks and the FFT blocks from 64 nodes on; at 1100 the
         # 1024-node block that runs past the last node is split
-        for steps in (1, 2, 63, 64, 65, 197, 1000, 1100):
+        for steps in (1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
+                      197, 1000, 1100):
             cfg = SolveConfig(operator=operator, t_end=steps * h, h=h)
             got = solve(p, cfg, pantograph=pantograph).values
             assert len(got) == steps + 1
