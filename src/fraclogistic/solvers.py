@@ -53,6 +53,19 @@ computed grid; no history function is needed since lam in [0, 1] maps
   itself; using the datum makes the solver agree with the closed-form
   lam = 0 solution exactly, jump included.
 
+Linear runs: at lam = 0 the feedback is the datum, so f = r (1 - z0/k) z
++ forcing is linear in z and the ABC and Caputo schemes are a
+lower-triangular Toeplitz system, a discrete linear Volterra convolution
+(Lubich, SIAM J. Math. Anal. 17, 1986).  After the t = 0 node these runs
+are solved in aligned leaves of 256 nodes, the first starting at node 1:
+each leaf is one convolution with the first column of the inverse of its
+Toeplitz matrix, the same for every leaf and found once per run by Newton
+power-series inversion, and the history from earlier leaves is added by
+the doubling blocks above.  If a node comes out non-finite, or not
+positive by more than the rounding error of its convolution, the run is
+solved again by the step loop, so every failure reports the loop's
+message and step.  CFC runs always take the loop.
+
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
 """
@@ -60,6 +73,7 @@ admissible root raises :class:`SolverError` instead).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from operator import mul
@@ -80,11 +94,15 @@ __all__ = [
     "compare_operators",
 ]
 
-# Longer runs are refused up front: 2e6 ABC steps take about 9 s and
-# 205 MB on a 2-vCPU Xeon, and time and memory grow slightly faster than M.
+# Longer runs are refused up front: 2e6 ABC steps take about 9 s (2 s at
+# lam = 0) and 205 MB on a 2-vCPU Xeon, and time and memory grow slightly
+# faster than M.
 _MAX_STEPS = 2_000_000
 # History blocks of this many nodes and more are added by FFT.
 _BLOCK = 64
+# lam = 0 ABC and Caputo runs are solved in aligned leaves of this many nodes.
+_LEAF = 256
+_EPS = np.finfo(float).eps
 # Lag weights: 12 Gauss-Legendre nodes, mapped to [0, 1] with the factor
 # (1 - s) folded into the weights, resolve (1 + s)^(mu-1) to rounding; from
 # lag 64 on, 9 series terms in 1/m leave a remainder below 1e-18 relative.
@@ -157,12 +175,15 @@ class OperatorComparison(NamedTuple):
     caputo: Trajectory
 
 
+@functools.lru_cache(maxsize=1)
 def _lag_weights(mu: float, size: int) -> tuple:
     """Unscaled product-trapezoid weights of the power-law kernel, lags 0..size.
 
     Returns ``(w, end)``: ``w[m]`` weights f(t_{n-m}) in the history sum
     of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0 term adds on
-    top of ``w[n]`` to make the end weight.
+    top of ``w[n]`` to make the end weight.  Both are read-only; the last
+    pair is kept, since a stability probe solves one (mu, size) four times
+    and an operator comparison twice.
 
     With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
     p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
@@ -203,9 +224,12 @@ def _lag_weights(mu: float, size: int) -> tuple:
         scale = c * far ** (mu - 1.0)
         w[_SERIES_LAG:] = 2.0 * scale * even
         end[_SERIES_LAG:] = -scale * (even + x * odd)
+    w.flags.writeable = end.flags.writeable = False
     return w, end
 
 
+# Overflow in the history sums shows as a non-finite node, which raises.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     params: ModelParams,
     cfg: SolveConfig,
@@ -293,6 +317,55 @@ def solve(
                                     * spec, 2 * piece)
                 far[n:n + count] += conv[piece - 1:piece - 1 + count]
 
+        def solve_leaves(z_0: float, f_0: float) -> bool:
+            """Solve nodes 1 .. n_steps of a lam = 0 run; False if a node fails.
+
+            The feedback is the datum z0, so f = rho z + forcing is linear in
+            z and the nodes of one leaf solve (qb I - c_hist rho T) z = v,
+            with T[i, j] = w[i - j] and v holding z0, the forcing and the
+            history from earlier leaves.  The inverse is lower-triangular
+            Toeplitz, the same for every leaf; its first column g is the
+            power series 1 / (qb - c_hist rho sum_m w[m] x^m), found by
+            Newton doubling, and each leaf is one convolution with g.
+            """
+            nonlocal far
+            rho = r * (1.0 - z0 / k)
+            qb = 1.0 - diag * rho
+            if qb == 0.0:
+                return False
+            size = min(_LEAF, n_steps)
+            a = -c_hist * rho * w[:size]
+            a[0] = qb
+            g = np.array([1.0 / qb])
+            while len(g) < size:  # a g = 1 + e x^len(g) + ...
+                m = min(2 * len(g), size)
+                e = np.convolve(a[:m], g)[len(g):m]
+                g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
+            far = end * f_0
+            far[1:_LEAF] += f_0 * w[1:_LEAF]  # node 0's lags into the first leaf
+            z[0] = z_0
+            f_hist[0] = f_0
+            v0 = z0 + diag * forcing
+            fw = forcing * np.cumsum(w[:size])  # the forcing's lags within a leaf
+            g_abs = np.abs(g)
+            s = 1
+            while s <= n_steps:
+                stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
+                cnt = stop - s
+                v = v0 + c_hist * (far[s:stop] + fw[:cnt])
+                zl = np.convolve(g[:cnt], v)[:cnt]
+                # a node within the rounding error of its sum g * v may have
+                # either sign: the step loop decides it
+                tol = _EPS * np.convolve(g_abs[:cnt], np.abs(v))[:cnt]
+                if not np.all((zl > tol) & (zl < math.inf)):
+                    return False
+                z[s:stop] = zl
+                f_hist[s:stop] = logistic_rhs(p, zl, z0, forcing)
+                if stop <= n_steps:
+                    add_far(stop)
+                s = stop
+            return True
+
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
     # keeps its pointwise f term (the jump amplitude on linear problems);
     # CFC's f(t) - f(0) term vanishes there.  The loop calls numpy only where
@@ -355,6 +428,8 @@ def solve(
             if cfc:
                 base0, integral = z0 - c_point * fn, 0.0  # quadrature over completed cells
             else:
+                if lam == 0.0 and solve_leaves(zn, fn):
+                    return Trajectory(grid=grid, values=z, operator=op, params=p)
                 far = end * fn
                 far_blk = far[:8].tolist()
         elif cfc:

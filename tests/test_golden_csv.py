@@ -45,6 +45,13 @@ GOLDEN = [
      "b73a2ce6a48706ab62b833f9e97e6471581da041cfd0fd6e11ac2f05000fd116"),
     (["compare", "--lambda", "0.5", "--mu", "0.7"],
      "e6884d6a0f130d5dd1fb1c77ca725df125a13b13feffee2b987be930736f793d"),
+    # lam = 0 ABC and Caputo runs take the block solve, CFC the step loop
+    (["solve", "--lambda", "0"],
+     "9ba4eaf4d1c3283466d0c1b5b0a7ff8633edfa307eff53d522bd6c7b99de5767"),
+    (["solve", "--operator", "caputo", "--lambda", "0"],
+     "01064744d4e40d5b5b7834df73068fd46287c2aecd217e1cc2311b1c732fb7c9"),
+    (["compare", "--lambda", "0"],
+     "2c80545237a827c1e0ddbb370612f7bde89cc2e9a5184bcd0f72c4076b8902d6"),
     (["stability", "--operator", "cfc", "--lambda", "0"],
      "ee014881c984b0522692e0d059d475b9a7a71dbbeb68f6f27062da2d4fe22398"),
     # e^{-r t} overflows past t = 1419, so z underflows to 0

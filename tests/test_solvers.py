@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,13 @@ from fraclogistic import (
     logistic_rhs,
     solve,
 )
-from fraclogistic.solvers import _GL_HALF, _GL_HALF_WEIGHTS, _MAX_STEPS, _lag_weights
+from fraclogistic.solvers import (
+    _GL_HALF,
+    _GL_HALF_WEIGHTS,
+    _LEAF,
+    _MAX_STEPS,
+    _lag_weights,
+)
 
 
 def max_rel(a, b):
@@ -144,6 +151,27 @@ class TestBasicBehaviour:
             traj = solve(p, SolveConfig(operator=operator, t_end=steps * 0.01, h=0.01))
             assert len(traj.values) == len(calls) == steps + 1
 
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_lambda_zero_rhs_calls(self, monkeypatch, operator):
+        # lam = 0 ABC and Caputo runs evaluate f once at t = 0 and once per leaf
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return logistic_rhs(*args)
+
+        monkeypatch.setattr("fraclogistic.solvers.logistic_rhs", counted)
+        # at r = 5, h = 0.05, z grows by a factor 1e29 or more within a leaf
+        for (r, h), steps in itertools.product(((0.3, 0.01), (5.0, 0.05)),
+                                               (1, 100, 255, 256, 1100)):
+            p = ModelParams(r=r, k=100.0, z0=10.0, mu=0.9, lam=0.0)
+            calls.clear()
+            solve(p, SolveConfig(operator=operator, t_end=steps * h, h=h))
+            if operator == "cfc":
+                assert len(calls) == steps + 1
+            else:
+                assert len(calls) <= 1 + -(-(steps + 1) // _LEAF)
+
     def test_grid_metadata(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=1.0)
         cfg = SolveConfig(operator="cfc", t_end=1.0, h=0.1)
@@ -194,6 +222,14 @@ class TestFailureModes:
              67, "non-positive"),
             (ModelParams(r=10.0, k=100.0, z0=10.0, mu=0.5, lam=0.0), "caputo", 0.02,
              239, "non-finite"),
+            # the history sums overflow before the node itself does
+            (ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.3, lam=0.0), "caputo", 0.00025,
+             18624, "non-finite"),
+            # z = 10 exp(-9 t) reaches rounding level, where the integral form
+            # returns a negative node; the lam = 0 block solve must report the
+            # step loop's failure
+            (ModelParams(r=-10.0, k=100.0, z0=10.0, mu=1.0, lam=0.0), "abc", 0.05,
+             83, "non-positive"),
         ],
     )
     def test_inadmissible_root_reports_step(self, params, operator, h, step, message):
@@ -222,14 +258,25 @@ class TestReferenceEquivalence:
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
         h = 2.0 ** -6
         # step counts straddle the history blocks: the dense 8-, 16- and
-        # 32-node blocks and the FFT blocks from 64 nodes on; at 1100 the
-        # 1024-node block that runs past the last node is split
+        # 32-node blocks and the FFT blocks from 64 nodes on, and the 256-node
+        # leaves of the lam = 0 block solve; at 1100 the 1024-node block that
+        # runs past the last node is split
         for steps in (1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
-                      197, 1000, 1100):
+                      197, 255, 256, 257, 511, 512, 513, 1000, 1100):
             cfg = SolveConfig(operator=operator, t_end=steps * h, h=h)
             got = solve(p, cfg, pantograph=pantograph).values
             assert len(got) == steps + 1
             ref = reference_solve(p, cfg, pantograph=pantograph)
+            assert max_rel(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_lambda_zero_with_forcing(self, operator):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=0.0)
+        h = 2.0 ** -6
+        for steps in (1, 255, 256, 257, 511, 512, 513, 1100):
+            cfg = SolveConfig(operator=operator, t_end=steps * h, h=h)
+            got = solve(p, cfg, forcing=1e-3).values
+            ref = reference_solve(p, cfg, forcing=1e-3)
             assert max_rel(got, ref) <= 1e-12
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
@@ -255,6 +302,14 @@ class TestLagWeights:
         assert w[0] == 0.0 and end[0] == 0.0
         np.testing.assert_allclose(w[self.LAGS], ref_w, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(end[self.LAGS], ref_end, rtol=1e-14, atol=0.0)
+
+    def test_last_weights_are_shared_read_only(self):
+        w, end = _lag_weights(0.45, 300)
+        assert _lag_weights(0.45, 300)[0] is w
+        with pytest.raises(ValueError, match="read-only"):
+            w[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            end[1] = 0.0
 
     def test_gauss_legendre_table(self):
         nodes, weights = np.polynomial.legendre.leggauss(12)
