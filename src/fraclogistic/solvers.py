@@ -26,7 +26,9 @@ lowest set bit L is at least 8, the sources f[n-L:n] are added into the
 targets n .. n+L-1 at once, by a dense Toeplitz product for L < 64 and by
 FFT beyond.  Pairs within one aligned 8-node sub-block are summed by the
 step itself.  A run of M steps costs O(M log^2 M) and gives the direct
-sum's values up to rounding.
+sum's values up to rounding.  The step loop reads and writes z and f in
+place and calls numpy only where a node starts a sub-block; CFC keeps f
+too, for its trapezoid.
 
 Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
 each step an equation in the unknown z_n.  The delayed value is affine in
@@ -94,9 +96,9 @@ __all__ = [
     "compare_operators",
 ]
 
-# Longer runs are refused up front: 2e6 ABC steps take about 9 s (2 s at
-# lam = 0) and 205 MB on a 2-vCPU Xeon, and time and memory grow slightly
-# faster than M.
+# Longer runs are refused up front: 2e6 ABC steps take 5-8 s (2 s at
+# lam = 0) and 205 MB on a 2-vCPU Xeon, 2e6 CFC steps 2 s and 75 MB, and
+# time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
 # History blocks of this many nodes and more are added by FFT.
 _BLOCK = 64
@@ -274,22 +276,20 @@ def solve(
     else:  # CFC
         c_quad = mu / p.b_norm
 
+    # c_hist: the weight of f(t_n) in its own quadrature; for ABC and Caputo
+    # also the scale of the lag weights w
     if cfc:
-        diag = c_point + c_quad * 0.5 * h
+        c_hist = 0.5 * c_quad * h
     else:
+        c_hist = c_quad * (h ** mu / (mu * (mu + 1.0)))
+    diag = c_point + c_hist
+    f_hist = np.zeros(n_steps + 1)
+    if not cfc:
         # far[n]: history of node n from nodes before its 8-node sub-block,
         # plus the j = 0 end correction; nodes in the sub-block are summed
-        # per step from near_w[s][i] = w[s - i].  far has room for node
-        # n_steps + 1, which the last pass of the loop prepares unused.
+        # per step.  far has room for node n_steps + 1, which the last pass
+        # of the loop prepares unused.
         w, end = _lag_weights(mu, max(n_steps + 1, _BLOCK))
-        c_hist = c_quad * (h ** mu / (mu * (mu + 1.0)))
-        diag = c_point + c_hist
-        near_w = [w[s:0:-1].tolist() for s in range(8)]
-        f_hist = np.zeros(n_steps + 1)
-        # blocks of 8, 16 and 32 nodes go through dense Toeplitz matrices,
-        # tiles[L][i, j] = w[L + i - j]; longer ones through FFT
-        idx = np.arange(_BLOCK // 2)
-        tiles = {size: w[size + idx[:size, None] - idx[:size]] for size in (8, 16, 32)}
         spectra = {}  # rfft of w[1:2P], by piece length P
 
         def add_far(n: int) -> None:
@@ -317,7 +317,7 @@ def solve(
                                     * spec, 2 * piece)
                 far[n:n + count] += conv[piece - 1:piece - 1 + count]
 
-        def solve_leaves(z_0: float, f_0: float) -> bool:
+        def solve_leaves(f_0: float) -> bool:
             """Solve nodes 1 .. n_steps of a lam = 0 run; False if a node fails.
 
             The feedback is the datum z0, so f = rho z + forcing is linear in
@@ -343,8 +343,6 @@ def solve(
                 g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
             far = end * f_0
             far[1:_LEAF] += f_0 * w[1:_LEAF]  # node 0's lags into the first leaf
-            z[0] = z_0
-            f_hist[0] = f_0
             v0 = z0 + diag * forcing
             fw = forcing * np.cumsum(w[:size])  # the forcing's lags within a leaf
             g_abs = np.abs(g)
@@ -368,15 +366,12 @@ def solve(
 
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
     # keeps its pointwise f term (the jump amplitude on linear problems);
-    # CFC's f(t) - f(0) term vanishes there.  The loop calls numpy only where
-    # a node starts an 8-node sub-block, at node s say: z and f are written
-    # back in eights, and zd is z[lo:hi] with lo = int(lam * s), followed by
-    # the sub-block's nodes as they are solved.  The sub-block's delayed
-    # values read z[j] as zd[j - lo]: hi = int(lam * (s + 7)) + 2 covers
-    # them all, or else hi = s and the appended nodes cover the rest.
+    # CFC's f(t) - f(0) term vanishes there.  The loop reads and writes z and
+    # f_hist through memoryviews, which give Python floats, and calls numpy
+    # only where a node starts an 8-node sub-block.
+    zs, fs = z.data, f_hist.data
     base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
     zn = z0  # the previous node's value; z0 before the first
-    zd, lo, fs = [], 0, []
     for n in range(n_steps + 1):
         # delayed value a + b * z_n
         if lam == 0.0:
@@ -388,11 +383,11 @@ def solve(
                 a, b = 0.0, 1.0
             else:
                 theta = pos - j
-                a = (1.0 - theta) * zd[j - lo]
+                a = (1.0 - theta) * zs[j]
                 if j + 1 == n:
                     b = theta
                 else:
-                    a, b = a + theta * zd[j + 1 - lo], 0.0
+                    a, b = a + theta * zs[j + 1], 0.0
         # A z^2 + B z - C = 0
         rd = d * r
         qa = rd * b / k
@@ -419,8 +414,8 @@ def solve(
         if zn <= 0.0:
             raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
         fn = logistic_rhs(p, zn, a + b * zn, forcing)
-        zd.append(zn)
-        fs.append(fn)
+        zs[n] = zn
+        fs[n] = fn
 
         # the history of node m = n + 1
         if not n:  # f(0) is known
@@ -428,30 +423,27 @@ def solve(
             if cfc:
                 base0, integral = z0 - c_point * fn, 0.0  # quadrature over completed cells
             else:
-                if lam == 0.0 and solve_leaves(zn, fn):
-                    return Trajectory(grid=grid, values=z, operator=op, params=p)
+                if lam == 0.0 and solve_leaves(fn):
+                    break
+                # near_w[s][i] = w[s - i]; blocks of 8, 16 and 32 nodes go
+                # through dense Toeplitz matrices, tiles[L][i, j] = w[L + i - j],
+                # longer ones through FFT
+                near_w = [w[s:0:-1].tolist() for s in range(8)]
+                idx = np.arange(_BLOCK // 2)
+                tiles = {size: w[size + idx[:size, None] - idx[:size]] for size in (8, 16, 32)}
                 far = end * fn
                 far_blk = far[:8].tolist()
         elif cfc:
-            integral += 0.5 * h * (f_prev + fn)
-        m = n + 1
-        sub = m & 7
-        if not sub:  # m starts a sub-block
-            z[m - 8:m] = zd[-8:]
-            if not cfc and m <= n_steps:
-                f_hist[m - 8:m] = fs
-                add_far(m)
-                far_blk = far[m:m + 8].tolist()
-            lo = int(lam * m)
-            zd = z[lo:min(m, int(lam * (m + 7)) + 2)].tolist()
-            fs = []
+            integral += 0.5 * h * (fs[n - 1] + fn)
         if cfc:
             base = base0 + c_quad * (integral + 0.5 * h * fn)
-            f_prev = fn
         else:
-            base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs)))
-    tail = (n_steps + 1) & 7
-    z[n_steps + 1 - tail:] = zd[len(zd) - tail:]
+            m = n + 1
+            sub = m & 7
+            if not sub and m <= n_steps:  # m starts a sub-block
+                add_far(m)
+                far_blk = far[m:m + 8].tolist()
+            base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[m - sub:m])))
 
     return Trajectory(grid=grid, values=z, operator=op, params=p)
 

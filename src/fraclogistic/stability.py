@@ -41,6 +41,10 @@ def hyers_ulam_probe(params: ModelParams, cfg: SolveConfig, epsilons) -> Stabili
     also stay below ``0.1 * k * |r|`` so the perturbation remains small
     relative to the dynamics scale (for r = 0 there is no such scale and
     the bound is waived).
+
+    At lam = 0 the model is linear in z and the forcing, so the deviation
+    is proportional to eps and every eps gives the same estimate up to
+    rounding.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -62,6 +63,18 @@ class TestLambdaZeroOracle:
         for op in ("cfc", "caputo"):
             traj = solve(p, SolveConfig(operator=op, t_end=1.0, h=0.01))
             assert traj.values[0] == p.z0
+
+    # c1 a = 1.125 > 1 in the last case: z runs backwards, down to 1.5e-7
+    @pytest.mark.parametrize("r, mu, tol", [(0.5, 0.5, 3e-12), (0.5, 0.9, 3e-12),
+                                            (0.5, 1.0, 3e-12), (2.5, 0.5, 1e-6)])
+    def test_cfc_matches_closed_form(self, r, mu, tol):
+        # z' = c1 a z' + c2 a z with c1 = (1-mu)/B, c2 = mu/B, a = r (1 - z0/k)
+        p = ModelParams(r=r, k=100.0, z0=10.0, mu=mu, lam=0.0)
+        traj = solve(p, SolveConfig(operator="cfc", t_end=2.0, h=1e-5))
+        a = p.r * (1.0 - p.z0 / p.k)
+        c1, c2 = (1.0 - mu) / p.b_norm, mu / p.b_norm
+        exact = p.z0 * np.exp(c2 * a * traj.grid / (1.0 - c1 * a))
+        assert max_rel(traj.values, exact) <= tol
 
 
 class TestOperatorCoincidence:
@@ -171,6 +184,24 @@ class TestBasicBehaviour:
                 assert len(calls) == steps + 1
             else:
                 assert len(calls) <= 1 + -(-(steps + 1) // _LEAF)
+
+    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    def test_lambda_zero_fallback_after_accepted_leaves(self, monkeypatch, operator):
+        # z = 10 exp(-9 t) nears rounding level in the third leaf, which the
+        # leaf solve rejects; the step loop then solves nodes 1 .. 610 again
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return logistic_rhs(*args)
+
+        monkeypatch.setattr("fraclogistic.solvers.logistic_rhs", counted)
+        p = ModelParams(r=-10.0, k=100.0, z0=10.0, mu=1.0, lam=0.0)
+        traj = solve(p, SolveConfig(operator=operator, t_end=4.0, h=4.0 / 610))
+        assert len(calls) == 1 + 2 + 610  # node 0, leaves 1 and 2, the loop
+        assert len(traj.values) == 611
+        assert hashlib.sha256(traj.values.tobytes()).hexdigest() == (
+            "90957a4eb672c7beee9c2be4f1ca0ada3e3bf2b8be7e1ad232e9b4c973974867")
 
     def test_grid_metadata(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=1.0)
