@@ -16,8 +16,10 @@ explicit flags win on conflict.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -104,10 +106,16 @@ _MAX_SWEEP = 10_000
 
 # Rows formatted per write: lists of every value at once would raise peak memory.
 _BLOCK = 4096
+# Most rows one command may write: a million take about 1 s to format.
+_MAX_ROWS = 1_000_000
 
 
-def _grid(ns) -> np.ndarray:
-    return np.linspace(0.0, ns.t_end, ns.points)
+def _grid(ns, blocks: int = 1, start: float = 0.0, stop: float | None = None) -> np.ndarray:
+    """``--points`` values from ``start`` to ``stop`` (``--t-end``) for ``blocks`` blocks."""
+    if ns.points * blocks > _MAX_ROWS:
+        raise ValueError(f"--points {ns.points} gives {ns.points * blocks} rows, "
+                         f"more than {_MAX_ROWS}")
+    return np.linspace(start, ns.t_end if stop is None else stop, ns.points)
 
 
 def _sweep_values(ns, axis: str) -> list:
@@ -134,19 +142,19 @@ def _sweep_values(ns, axis: str) -> list:
 
 
 def _curves(ns, params, curve) -> tuple:
-    """Header and columns of ``curve(params, ts)`` on the output grid.
+    """Header and row blocks of ``curve(params, ts)`` on the output grid.
 
-    Without ``--vary`` the columns are t, z; with it, t, value, z over the
-    sweep, the swept value outer and t inner.
+    Without ``--vary`` one block t, z; with it, one block t, value, z per
+    swept value, in sweep order.
     """
-    ts = _grid(ns)
     if ns.vary is None:
-        return "t,z", [ts, curve(params, ts)]
+        ts = _grid(ns)
+        return "t,z", [[ts, curve(params, ts)]]
     field = "mu" if ns.vary == "mu" else "lam"
     values = _sweep_values(ns, ns.vary)
-    curves = [curve(dataclasses.replace(params, **{field: v}), ts) for v in values]
-    return f"t,{ns.vary},z", [np.tile(ts, len(values)), np.repeat(values, len(ts)),
-                              np.concatenate(curves)]
+    ts = _grid(ns, len(values))
+    return f"t,{ns.vary},z", [[ts, v, curve(dataclasses.replace(params, **{field: v}), ts)]
+                              for v in values]
 
 
 def _series(ns, params, n_terms, built):
@@ -173,8 +181,8 @@ def _cmd_ml_eval(ns, params):
     hi = ns.t_end if ns.sweep_to is None else ns.sweep_to
     if hi <= lo:
         raise ValueError(f"ml-eval range is empty: from {lo} to {hi}")
-    args = np.linspace(lo, hi, ns.points)
-    return "t,z", [args, special.mittag_leffler(params.mu, args)]
+    args = _grid(ns, start=lo, stop=hi)
+    return "t,z", [[args, special.mittag_leffler(params.mu, args)]]
 
 
 def _cmd_exact_lambda0(ns, params):
@@ -198,17 +206,17 @@ def _cmd_closed_form(ns, params):
 
 def _cmd_solve(ns, params):
     """one numerical solver (--operator, --h)"""
-    traj = solve(params, SolveConfig(ns.operator, ns.t_end, ns.h))
     ts = _grid(ns)
-    return "t,z", [ts, np.interp(ts, traj.grid, traj.values)]
+    traj = solve(params, SolveConfig(ns.operator, ns.t_end, ns.h))
+    return "t,z", [[ts, np.interp(ts, traj.grid, traj.values)]]
 
 
 def _cmd_compare(ns, params):
     """all three operators, identical grid"""
-    trio = compare_operators(params, SolveConfig(OperatorKind.ABC, ns.t_end, ns.h))
     ts = _grid(ns)
-    return "t,z_abc,z_cfc,z_caputo", [ts, *(np.interp(ts, traj.grid, traj.values)
-                                            for traj in trio)]
+    trio = compare_operators(params, SolveConfig(OperatorKind.ABC, ns.t_end, ns.h))
+    return "t,z_abc,z_cfc,z_caputo", [[ts, *(np.interp(ts, traj.grid, traj.values)
+                                             for traj in trio)]]
 
 
 def _cmd_surface(ns, params):
@@ -221,31 +229,29 @@ def _cmd_surface(ns, params):
         raise ValueError("custom from/to/step are not supported with --vary both")
     mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
     built = {}
-    zs = [hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
-                               ns.n_terms, built), ns.at_t).value
-          for mu in mus for lam in lams]
-    return "mu,lambda,z", [np.repeat(mus, len(lams)), np.tile(lams, len(mus)), zs]
+    zs = [[hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
+                                ns.n_terms, built), ns.at_t).value for lam in lams]
+          for mu in mus]
+    return "mu,lambda,z", [[mu, lams, z] for mu, z in zip(mus, zs)]
 
 
 def _cmd_convergence(ns, params):
     """series truncation behaviour (--n-max)"""
-    sol = _series(ns, params, ns.n_max, {})
-    ts = _grid(ns)
-    values = sol.term_values(ts)
+    ts = _grid(ns, ns.n_max)
+    values = _series(ns, params, ns.n_max, {}).term_values(ts)
     # x_0 = z0 > 0, so these running sums equal sum() from 0 bit for bit
     with np.errstate(over="ignore", invalid="ignore"):
         partials = np.cumsum(values, axis=0)
     return "n_terms,t,partial_sum,last_term_abs", [
-        np.repeat(np.arange(1, ns.n_max + 1), len(ts)), np.tile(ts, ns.n_max),
-        partials[1:].ravel(), np.abs(values[1:]).ravel()]
+        [n, ts, partials[n], np.abs(values[n])] for n in range(1, ns.n_max + 1)]
 
 
 def _cmd_stability(ns, params):
     """Hyers-Ulam probe (--epsilons)"""
     report = hyers_ulam_probe(params, SolveConfig(ns.operator, ns.t_end, ns.h),
                               sorted(ns.epsilons))
-    return "epsilon,max_deviation,c_estimate", [report.epsilons, report.deviations,
-                                                report.c_estimates]
+    return "epsilon,max_deviation,c_estimate", [[report.epsilons, report.deviations,
+                                                 report.c_estimates]]
 
 
 # command -> (handler, the flags it takes); every command takes --output and --config
@@ -304,16 +310,38 @@ def _config_args(ns) -> list:
     return args
 
 
-def _write(header: str, columns: list, output: str | None) -> None:
-    """Write the header and equal-length columns as CSV, each field ``%.12g``."""
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
-    columns = [np.asarray(column) for column in columns]
+def _write(header: str, blocks: list, output: str | None) -> None:
+    """Write the header and the row blocks as CSV, each field ``%.12g``.
+
+    A block is a list of columns, each a 1-d sequence or a number that
+    repeats down the block.  A sequence that several blocks share (the t
+    grid) is formatted once; the rest ``_BLOCK`` rows at a time.
+    """
+    uses = collections.Counter(id(col) for block in blocks for col in block if np.ndim(col))
+    shared = {}  # id -> text of a sequence in several blocks
     with (open(output, "w", encoding="utf-8", newline="") if output
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _BLOCK):
-            block = zip(*(column[start:start + _BLOCK].tolist() for column in columns))
-            fh.write("".join([row % values for values in block]))
+        for block in blocks:
+            fields, columns = [], []
+            for col in block:
+                if not np.ndim(col):
+                    fields.append("%.12g" % col)
+                elif uses[id(col)] > 1:
+                    if id(col) not in shared:
+                        shared[id(col)] = ["%.12g" % v for v in np.asarray(col).tolist()]
+                    fields.append("%s")
+                    columns.append(shared[id(col)])
+                else:
+                    fields.append("%.12g")
+                    columns.append(np.asarray(col))
+            row = ",".join(fields) + "\n"
+            for start in range(0, len(columns[0]), _BLOCK):
+                rows = zip(*(col[start:start + _BLOCK] if isinstance(col, list)
+                             else col[start:start + _BLOCK].tolist() for col in columns))
+                # one % of the row repeated formats the chunk: a % per row costs more
+                values = tuple(itertools.chain.from_iterable(rows))
+                fh.write((row * (len(values) // len(columns))) % values)
 
 
 def main(argv=None) -> int:
@@ -326,8 +354,8 @@ def main(argv=None) -> int:
             ns = _PARSER.parse_args([*argv[:1], *_config_args(ns), *argv[1:]])
         params = ModelParams(**{f.name: getattr(ns, f.name)
                                 for f in dataclasses.fields(ModelParams)})
-        header, columns = _COMMANDS[ns.command][0](ns, params)
-        _write(header, columns, ns.output)
+        header, blocks = _COMMANDS[ns.command][0](ns, params)
+        _write(header, blocks, ns.output)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (SolverError, ConvergenceError) as exc:

@@ -11,7 +11,7 @@ import pytest
 
 import fraclogistic
 from fraclogistic import ModelParams, abc_exact_lambda0, hsv_iterate, mittag_leffler
-from fraclogistic.cli import _COMMANDS, main
+from fraclogistic.cli import _COMMANDS, _MAX_ROWS, main
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +234,29 @@ class TestSeriesCommands:
         assert len(calls) == 2 * builds
 
 
+@pytest.mark.parametrize("sweep, single, flag", [
+    (("exact-lambda0", "--vary", "mu", "--from", "0.25", "--to", "1", "--step", "0.25"),
+     "exact-lambda0", "--mu"),
+    (("surface", "--vary", "mu", "--from", "0.25", "--to", "1", "--step", "0.25"),
+     "hsv", "--mu"),
+    (("surface", "--vary", "lambda", "--from", "0", "--to", "1", "--step", "0.25"),
+     "hsv", "--lambda"),
+])
+def test_sweep_blocks_are_single_value_runs(capsys, sweep, single, flag):
+    # steps of 0.25 are exact, so each printed value parses to the swept float
+    grid = ("--t-end", "5", "--points", "7")
+    code, out, _ = run_cli(capsys, *sweep, *grid)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    values = list(dict.fromkeys(value for _, value, _ in rows))
+    assert len(values) == (5 if flag == "--lambda" else 4)
+    for i, value in enumerate(values):
+        curve = run_cli(capsys, single, flag, value, *grid)[1].splitlines()[1:]
+        block = rows[7 * i:7 * (i + 1)]
+        assert {v for _, v, _ in block} == {value}
+        assert [f"{t},{z}" for t, _, z in block] == curve
+
+
 class TestOutputContract:
     def test_deterministic(self, capsys):
         args = ["surface", "--vary", "mu", "--t-end", "3", "--points", "4",
@@ -258,6 +281,16 @@ class TestOutputContract:
         text = target.read_bytes().decode("utf-8")
         assert text.startswith("t,z\n")
         assert b"\r" not in target.read_bytes()
+
+    def test_output_file_of_a_sweep_is_stdout(self, tmp_path, capsys):
+        # two blocks of 4500 rows, each crossing the writer's 4096-row chunk
+        argv = ("exact-lambda0", "--vary", "mu", "--from", "0.5", "--to", "0.6",
+                "--step", "0.1", "--points", "4500")
+        target = tmp_path / "sweep.csv"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
 
     def test_config_file_defaults_and_flag_priority(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -288,6 +321,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "classical", "--points", "1")
         assert code == 2
         assert "points" in err
+
+    @pytest.mark.parametrize("argv, points", [
+        (("ml-eval",), _MAX_ROWS + 1),
+        # the default mu sweep takes nine values
+        (("exact-lambda0", "--vary", "mu"), _MAX_ROWS // 9 + 1),
+    ])
+    def test_rows_over_the_cap_are_refused_before_any_grid(self, capsys, monkeypatch,
+                                                           argv, points):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        code, out, err = run_cli(capsys, *argv, "--points", str(points))
+        assert (code, out) == (2, "")
+        assert "--points" in err and str(_MAX_ROWS) in err
+
+    def test_rows_at_the_cap_are_written(self, capsys, monkeypatch):
+        monkeypatch.setattr("fraclogistic.cli._MAX_ROWS", 18)
+        code, out, _ = run_cli(capsys, "exact-lambda0", "--vary", "mu", "--points", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 18
+        assert run_cli(capsys, "exact-lambda0", "--vary", "mu", "--points", "3")[0] == 2
 
     def test_invalid_mu_names_field(self, capsys):
         code, _, err = run_cli(capsys, "hsv", "--mu", "1.5")

@@ -62,6 +62,12 @@ GOLDEN = [
      "0798039580462caef506920344df6b386789d99ef4eaff9a7ffb956dedf540bb"),
     (["surface", "--vary", "lambda", "--mode", "square"],
      "aeb32ab13d7f5571cdeab691552014a23cef21ca70860b338ea02641b183c48e"),
+    # blocks of 4500 and 4200 rows cross the writer's 4096-row chunk
+    (["exact-lambda0", "--vary", "mu", "--from", "0.5", "--to", "0.6", "--step", "0.1",
+      "--points", "4500"],
+     "74f6c16cc45f1fbec62af8fd44afcc9fc24c001292d3db3754cc569586c1a234"),
+    (["convergence", "--n-max", "2", "--points", "4200"],
+     "e4e7cef72bdb8d9b00ecbd56d89b5e54518c23785110cc03462ba6a897665c79"),
 ]
 
 

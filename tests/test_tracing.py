@@ -36,6 +36,10 @@ def test_tracer_installs_and_restores(capsys):
     (["hsv", "--points", "11"], 11),
     # ten lambda values, 11 terms each
     (["surface", "--vary", "lambda", "--points", "11"], 110),
+    # one block per mu: 90 series of 11 terms
+    (["surface", "--vary", "both"], 990),
+    # one block per truncation order, all from one series of 9 terms
+    (["convergence", "--points", "11"], 9),
 ])
 def test_traced_series_commands_match_untraced(capsys, argv, terms):
     assert cli.main(argv) == 0
