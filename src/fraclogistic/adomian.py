@@ -31,7 +31,8 @@ def adomian_delayed_product(terms, lam: float):
     terms : sequence of FracSeries
         Decomposition terms ``x_0 .. x_n``, all sharing one order.
     lam : float
-        Delay factor in [0, 1]; ``lam = 1`` gives the undelayed square.
+        Delay factor in [0, 1]; ``lam = 1`` gives the undelayed square and
+        ``lam = 0`` the product with the datum ``x_0`` alone.
 
     Returns
     -------
@@ -47,7 +48,10 @@ def adomian_delayed_product(terms, lam: float):
             raise ValueError("terms must be FracSeries instances")
         if x.mu != mu:
             raise ValueError(f"series order mismatch: {x.mu} != {mu}")
-    second = [delay_rescale(x, lam) for x in terms]
+    # at lam = 0 the delayed state z(0) is the datum x_0, as in the solver
+    # and the closed form, so later terms feed nothing back
+    second = [delay_rescale(x, lam) if lam or i == 0 else FracSeries(mu, (0.0,))
+              for i, x in enumerate(terms)]
 
     polys = []
     for n in range(len(terms)):

@@ -1,7 +1,8 @@
 """Command-line front end emitting CSV datasets for every solution route.
 
 ``fraclogistic --help`` lists the commands, each described by its
-handler's docstring; README gives the columns each one writes.
+handler's docstring; README gives the columns each one writes.  Each
+command takes only the flags its handler reads.
 
 Output is deterministic CSV (UTF-8, comma separated, LF line endings,
 header row, 12 significant digits), written to --output or stdout.
@@ -9,8 +10,9 @@ Exit codes: 0 success, 2 invalid arguments, 3 solver failure.
 
 A JSON config file (--config) may give any flag of the command by its long
 name ("t-end" or "t_end" both work).  Its values are parsed and validated
-exactly like flags, keys the command does not take are ignored, and
-explicit flags win on conflict.
+exactly like flags, keys the command does not take are ignored (so one
+file can carry settings shared by several commands), and explicit flags
+win on conflict.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ _FLAGS = {
     "--n-max": ("n_max", _COUNT, 8, "largest truncation order to report"),
     "--mode": ("mode", str, "general", "square takes lam = 1: the undelayed series"),
     "--vary": ("vary", str, None, "sweep axis (exact-lambda0 takes mu only)"),
-    "--from": ("sweep_from", _FINITE, None, "sweep start (also ml-eval argument start)"),
-    "--to": ("sweep_to", _FINITE, None, "sweep end (also ml-eval argument end)"),
+    "--from": ("sweep_from", _FINITE, None, "sweep start (ml-eval: argument start, 0 if unset)"),
+    "--to": ("sweep_to", _FINITE, None, "sweep end (ml-eval: argument end, 10 if unset)"),
     "--step": ("sweep_step", _FINITE, None, "sweep increment"),
     "--at-t": ("at_t", _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
                1.0, "fixed evaluation time for --vary both"),
@@ -97,6 +99,8 @@ _CHOICES = {
 }
 
 _SHARED = ("--r", "--k", "--z0", "--mu", "--lambda", "--b-norm", "--t-end")
+# the lam = 0 and geometric forms read no delay
+_UNDELAYED = tuple(flag for flag in _SHARED if flag != "--lambda")
 
 # sweep axis -> (default from, to, step), its range as text, the range test
 _SWEEPS = {"mu": ((0.1, 0.9, 0.1), "(0, 1]", lambda v: 0.0 < v <= 1.0),
@@ -178,7 +182,7 @@ def _cmd_classical(ns, params):
 def _cmd_ml_eval(ns, params):
     """E_mu on an argument grid (--from/--to)"""
     lo = 0.0 if ns.sweep_from is None else ns.sweep_from
-    hi = ns.t_end if ns.sweep_to is None else ns.sweep_to
+    hi = 10.0 if ns.sweep_to is None else ns.sweep_to
     if hi <= lo:
         raise ValueError(f"ml-eval range is empty: from {lo} to {hi}")
     args = _grid(ns, start=lo, stop=hi)
@@ -257,12 +261,12 @@ def _cmd_stability(ns, params):
 # command -> (handler, the flags it takes); every command takes --output and --config
 _COMMANDS = {command: (handler, (*flags, "--output", "--config"))
              for command, (handler, flags) in {
-    "classical": (_cmd_classical, (*_SHARED, "--points")),
-    "ml-eval": (_cmd_ml_eval, ("--mu", "--t-end", "--points", "--from", "--to")),
+    "classical": (_cmd_classical, ("--r", "--k", "--z0", "--t-end", "--points")),
+    "ml-eval": (_cmd_ml_eval, ("--mu", "--points", "--from", "--to")),
     "exact-lambda0": (_cmd_exact_lambda0,
-                      (*_SHARED, "--points", "--vary", "--from", "--to", "--step")),
+                      (*_UNDELAYED, "--points", "--vary", "--from", "--to", "--step")),
     "hsv": (_cmd_hsv, (*_SHARED, "--points", "--n-terms", "--mode")),
-    "closed-form": (_cmd_closed_form, (*_SHARED, "--points")),
+    "closed-form": (_cmd_closed_form, (*_UNDELAYED, "--points")),
     "solve": (_cmd_solve, (*_SHARED, "--points", "--h", "--operator")),
     "compare": (_cmd_compare, (*_SHARED, "--points", "--h")),
     "surface": (_cmd_surface, (*_SHARED, "--points", "--vary", "--from", "--to", "--step",

@@ -13,7 +13,9 @@ by r/B and transforms back:
     x_{n+1} = (1/B) S^-1[ r (1 - mu + mu u^mu) (S[x_n] - S[P_n]/k) ].
 
 The undelayed series, with the textbook Adomian table for z^2, is the
-lam = 1 series; the CLI's ``--mode square`` is shorthand for it.
+lam = 1 series; the CLI's ``--mode square`` is shorthand for it.  At
+lam = 0 the delayed state is the datum z0 = x_0, as in the solver and the
+closed form, so the series sums to the lam = 0 closed form.
 
 Every term lives on the lattice t^(k*mu), and x_i has i + 1 coefficients,
 so the iteration runs on one square coefficient matrix whose row i holds
@@ -180,7 +182,8 @@ def hsv_iterate(params: ModelParams, n_terms: int) -> HsvSolution:
             c[n + 1, :m + 1] = factor * e / g[:m + 1]
             if not np.isfinite(c[n + 1]).all():
                 raise ValueError(f"term x_{n + 1} has non-finite coefficients")
-            s[n + 1] = c[n + 1] * delay
+            if p.lam:  # at lam = 0 only the datum x_0 is fed back
+                s[n + 1] = c[n + 1] * delay
     c.flags.writeable = False
     return HsvSolution(params=p, coeffs=c)
 

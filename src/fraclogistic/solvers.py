@@ -1,25 +1,29 @@
 """Product-integration time steppers for the delayed logistic model.
 
 Three fractional operators are supported through their equivalent integral
-forms (normalizations B and M both taken from ``ModelParams.b_norm``,
-default 1, so that all mu = 1 limits coincide with the classical ODE):
+forms, all one kernel form
 
-ABC (Mittag-Leffler kernel)
-    z(t) = z0 + (1-mu)/B * f(t) + mu/(B*Gamma(mu)) * I^mu[f](t)
+    z(t) = z0 + c_point * f(t) + c_quad * I^e[f](t),
+    I^e[f](t) = int_0^t (t - s)^(e-1) f(s) ds,
 
-CFC (exponential kernel)
-    z(t) = z0 + (1-mu)/M * (f(t) - f(0)) + mu/M * int_0^t f
+with f(t) = r z(t) (1 - z(lam t)/k) + forcing and, for normalization
+B = ``ModelParams.b_norm`` (default 1, so that all mu = 1 limits coincide
+with the classical ODE),
 
-Caputo (power-law kernel)
-    z(t) = z0 + 1/Gamma(mu) * I^mu[f](t)
+    operator  kernel          e    c_point     c_quad
+    ABC       Mittag-Leffler  mu   (1-mu)/B    mu/(B Gamma(e))
+    CFC       exponential     1    (1-mu)/B    mu/(B Gamma(e)) = mu/B
+    Caputo    power law       mu   0           1/Gamma(e)
 
-with f(t) = r z(t) (1 - z(lam t)/k) + forcing and the weakly singular
-integral I^mu[f](t) = int_0^t (t - s)^(mu-1) f(s) ds.
+CFC's pointwise term is c_point (f(t) - f(0)), so that it starts at z0;
+its I^1[f] is the plain integral of f.
 
-The singular integral uses product integration on a uniform grid:
+The integral uses product integration on a uniform grid:
 the smooth factor f is replaced by its piecewise-linear interpolant
 (product trapezoid), and the kernel is integrated exactly against it.
-The history weights depend only on the lag n - j, so the history sum is
+The weight of f(t_n) in I^e[f](t_n) is h^e / (e (e + 1)).  At e = 1 this
+is the trapezoid rule, which CFC sums as it goes.  At e = mu the history
+weights depend only on the lag n - j, so the history sum is
 a discrete convolution, added in aligned doubling blocks (Hairer, Lubich
 and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each node n whose
 lowest set bit L is at least 8, the sources f[n-L:n] are added into the
@@ -27,8 +31,7 @@ targets n .. n+L-1 at once, by a dense Toeplitz product for L < 64 and by
 FFT beyond.  Pairs within one aligned 8-node sub-block are summed by the
 step itself.  A run of M steps costs O(M log^2 M) and gives the direct
 sum's values up to rounding.  The step loop reads and writes z and f in
-place and calls numpy only where a node starts a sub-block; CFC keeps f
-too, for its trapezoid.
+place and calls numpy only where a node starts a sub-block.
 
 Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
 each step an equation in the unknown z_n.  The delayed value is affine in
@@ -268,20 +271,14 @@ def solve(
 
     op = cfg.operator
     cfc = op is OperatorKind.CFC
-    c_point = 0.0 if op is OperatorKind.CAPUTO else (1.0 - mu) / p.b_norm
-    if op is OperatorKind.ABC:
-        c_quad = mu / (p.b_norm * gamma_fn(mu))
-    elif op is OperatorKind.CAPUTO:
-        c_quad = 1.0 / gamma_fn(mu)
-    else:  # CFC
-        c_quad = mu / p.b_norm
-
+    e = 1.0 if cfc else mu  # the kernel exponent
+    if op is OperatorKind.CAPUTO:
+        c_point, c_quad = 0.0, 1.0 / gamma_fn(e)
+    else:
+        c_point, c_quad = (1.0 - mu) / p.b_norm, mu / (p.b_norm * gamma_fn(e))
     # c_hist: the weight of f(t_n) in its own quadrature; for ABC and Caputo
     # also the scale of the lag weights w
-    if cfc:
-        c_hist = 0.5 * c_quad * h
-    else:
-        c_hist = c_quad * (h ** mu / (mu * (mu + 1.0)))
+    c_hist = c_quad * (h ** e / (e * (e + 1.0)))
     diag = c_point + c_hist
     f_hist = np.zeros(n_steps + 1)
     if not cfc:

@@ -21,6 +21,7 @@ an array gives exactly the values of one scalar call per point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -85,12 +86,13 @@ def time_powers(t, mu: float) -> tuple:
     The package's one rule for time arguments (not exported): every t must
     be finite and >= 0.  The powers come from libm one point at a time, as
     Python floats give them: numpy's vectorised power rounds the last bit
-    differently at some points.
+    differently at some points.  They go straight into the array, with no
+    list of results in between.
     """
     flat = np.atleast_1d(np.asarray(t, dtype=float))
     if flat.ndim > 1 or not np.isfinite(flat).all() or (flat < 0.0).any():
         raise ValueError(f"expected a time or a 1-d grid of finite t >= 0, got {t!r}")
-    return flat, np.array([v ** mu for v in flat.tolist()])
+    return flat, np.fromiter(map(pow, flat.tolist(), itertools.repeat(mu)), float, len(flat))
 
 
 def mittag_leffler(mu: float, arg):
@@ -117,7 +119,7 @@ def mittag_leffler(mu: float, arg):
         raise ValueError(f"mittag_leffler requires finite arguments, got {arg!r}")
 
     if mu == 1.0:
-        out = np.array([_exp(v) for v in flat.tolist()], dtype=float)
+        out = np.fromiter(map(_exp, flat.tolist()), float, len(flat))
     else:
         out = np.ones(len(flat))
         pos = flat > 0.0

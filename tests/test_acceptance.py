@@ -224,6 +224,15 @@ def test_criterion_08_hsv_vs_numerical():
         assert max_rel(series_values, traj.values) < HSV_SOLVER_AGREEMENT_RTOL
 
 
+def test_criterion_08_measured_agreement():
+    # criterion 08's run; the two routes agree to 7.9e-10, far inside its bound
+    with budget(8, "HSV vs numerical solver, measured", 5.0):
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
+        traj = solve(p, SolveConfig(operator="abc", t_end=0.5, h=1e-3))
+        series_values = hsv_evaluate(hsv_iterate(p, 10), traj.grid).value
+        assert max_rel(series_values, traj.values) < 2e-9
+
+
 def test_criterion_09_hyers_ulam_probe():
     with budget(9, "Hyers-Ulam probe", 10.0):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=1.0)

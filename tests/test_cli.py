@@ -62,8 +62,8 @@ class TestMlEvalCommand:
         for arg, value in rows:
             assert value == pytest.approx(mittag_leffler(0.5, arg), rel=1e-11)
 
-    def test_default_range_spans_time_horizon(self, capsys):
-        code, out, _ = run_cli(capsys, "ml-eval", "--mu", "0.7", "--t-end", "4",
+    def test_default_range_starts_at_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "ml-eval", "--mu", "0.7", "--to", "4",
                                "--points", "5")
         assert code == 0
         _, rows = parse_csv(out)
@@ -255,6 +255,35 @@ def test_sweep_blocks_are_single_value_runs(capsys, sweep, single, flag):
         block = rows[7 * i:7 * (i + 1)]
         assert {v for _, v, _ in block} == {value}
         assert [f"{t},{z}" for t, _, z in block] == curve
+
+
+# a value other than the default for each flag of the commands below
+_OTHER = {"--r": "0.05", "--k": "50", "--z0": "20", "--mu": "0.5", "--b-norm": "2",
+          "--t-end": "4", "--points": "4", "--vary": "mu", "--from": "0.5", "--to": "0.5",
+          "--step": "0.2"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in ("classical", "ml-eval", "exact-lambda0", "closed-form")
+    for flag in _COMMANDS[command][1] if flag not in ("--output", "--config")])
+def test_every_flag_a_command_takes_changes_its_output(capsys, command, flag):
+    # exact-lambda0 reads its sweep range under --vary mu
+    in_sweep = command == "exact-lambda0" and flag in ("--from", "--to", "--step")
+    sweep = ("--vary", "mu") if in_sweep else ()
+    base = run_cli(capsys, command, "--points", "3", *sweep)
+    changed = run_cli(capsys, command, "--points", "3", *sweep, flag, _OTHER[flag])
+    assert base[0] == changed[0] == 0
+    assert changed[1] != base[1]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classical", "--mu"), ("classical", "--lambda"), ("classical", "--b-norm"),
+    ("exact-lambda0", "--lambda"), ("closed-form", "--lambda"), ("ml-eval", "--t-end")])
+def test_flags_a_command_does_not_read_are_refused(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag, "0.5")
+    assert code == 2
+    assert out == ""
+    assert flag in err
 
 
 class TestOutputContract:

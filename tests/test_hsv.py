@@ -17,7 +17,7 @@ from fraclogistic import (
     hsv_iterate,
     psi_kernel,
 )
-from fraclogistic import classical_exact
+from fraclogistic import abc_exact_lambda0, classical_exact
 from helpers import assert_series_close, reference_hsv_iterate
 
 BASE = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.6, lam=1.0)
@@ -135,6 +135,16 @@ def test_truncation_decay_where_ratio_small():
             assert abs(geometric_closed_form(p, t).ratio) < 0.5
             mags = [abs(v) for v in sol.term_values(t)[1:]]
             assert all(b < a for a, b in zip(mags, mags[1:]))
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.7, 0.9, 1.0])
+def test_lambda_zero_series_meets_closed_form(mu):
+    # at lam = 0 the series feeds back the datum z0, as the closed form does;
+    # feeding back its own t = 0 value missed by up to 6.7e-4 at mu = 0.5
+    p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=mu, lam=0.0)
+    ts = np.linspace(0.0, 2.0, 41)
+    value = hsv_evaluate(hsv_iterate(p, 40), ts).value
+    np.testing.assert_allclose(value, abc_exact_lambda0(p, ts), rtol=1e-13, atol=0.0)
 
 
 def test_delay_changes_general_mode_only():
