@@ -10,9 +10,10 @@ Exit codes: 0 success, 2 invalid arguments, 3 solver failure.
 
 A JSON config file (--config) may give any flag of the command by its long
 name ("t-end" or "t_end" both work).  Its values are parsed and validated
-exactly like flags, keys the command does not take are ignored (so one
-file can carry settings shared by several commands), and explicit flags
-win on conflict.
+exactly like flags, keys the command or its mode does not read are
+ignored (so one file can carry settings shared by several commands), and
+explicit flags win on conflict.  A flag the chosen mode does not read
+exits 2, as one the command does not take does.
 """
 
 from __future__ import annotations
@@ -60,6 +61,21 @@ def _float_list(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+class _Given(argparse.Action):
+    """Store the value and add the flag to ``ns.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.option_strings[0]}
+
+
+def _refuse(ns, flags, mode: str) -> None:
+    """Exit 2 if a flag that ``mode`` does not read was given."""
+    for flag in flags:
+        if flag in ns.given:
+            raise ValueError(f"{flag} is not read {mode}")
+
+
 _FINITE = _checked(float, math.isfinite, "a finite number")
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
@@ -80,7 +96,7 @@ _FLAGS = {
     "--n-terms": ("n_terms", _COUNT, 10, "series truncation order"),
     "--n-max": ("n_max", _COUNT, 8, "largest truncation order to report"),
     "--mode": ("mode", str, "general", "square takes lam = 1: the undelayed series"),
-    "--vary": ("vary", str, None, "sweep axis (exact-lambda0 takes mu only)"),
+    "--vary": ("vary", str, None, "sweep axis"),
     "--from": ("sweep_from", _FINITE, None, "sweep start (ml-eval: argument start, 0 if unset)"),
     "--to": ("sweep_to", _FINITE, None, "sweep end (ml-eval: argument end, 10 if unset)"),
     "--step": ("sweep_step", _FINITE, None, "sweep increment"),
@@ -97,6 +113,8 @@ _CHOICES = {
     "--mode": ["general", "square"],
     "--vary": ["mu", "lambda", "both"],
 }
+# exact-lambda0 has no closed form in lam
+_COMMAND_CHOICES = {("exact-lambda0", "--vary"): ["mu"]}
 
 _SHARED = ("--r", "--k", "--z0", "--mu", "--lambda", "--b-norm", "--t-end")
 # the lam = 0 and geometric forms read no delay
@@ -168,6 +186,7 @@ def _series(ns, params, n_terms, built):
     builds each distinct series once.
     """
     if ns.mode == "square":
+        _refuse(ns, ("--lambda",), "with --mode square")
         params = dataclasses.replace(params, lam=1.0)
     if params not in built:
         built[params] = hsv_iterate(params, n_terms)
@@ -191,8 +210,8 @@ def _cmd_ml_eval(ns, params):
 
 def _cmd_exact_lambda0(ns, params):
     """lam = 0 fractional closed form"""
-    if ns.vary not in (None, "mu"):
-        raise ValueError("exact-lambda0 supports only --vary mu")
+    if ns.vary is None:
+        _refuse(ns, ("--from", "--to", "--step"), "without --vary")
     return _curves(ns, params, abc_exact_lambda0)
 
 
@@ -228,9 +247,9 @@ def _cmd_surface(ns, params):
     if ns.vary is None:
         raise ValueError("surface requires --vary (mu | lambda | both)")
     if ns.vary != "both":  # the hsv curve, swept
+        _refuse(ns, ("--at-t",), f"with --vary {ns.vary}")
         return _cmd_hsv(ns, params)
-    if (ns.sweep_from, ns.sweep_to, ns.sweep_step) != (None, None, None):
-        raise ValueError("custom from/to/step are not supported with --vary both")
+    _refuse(ns, ("--from", "--to", "--step", "--t-end", "--points"), "with --vary both")
     mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
     built = {}
     zs = [[hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
@@ -288,10 +307,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         # argparse takes only plain and decimal negatives for values; -5e-2 too
         sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        sub.set_defaults(given=frozenset())
         for flag, (dest, kind, default, text) in _FLAGS.items():
             if flag in flags:
                 sub.add_argument(flag, dest=dest, type=kind, default=default, help=text,
-                                 choices=_CHOICES.get(flag))
+                                 action=_Given, choices=_COMMAND_CHOICES.get(
+                                     (command, flag), _CHOICES.get(flag)))
             else:  # every command sees every setting, so one ModelParams serves all
                 sub.set_defaults(**{dest: default})
     return parser
@@ -354,8 +375,11 @@ def main(argv=None) -> int:
     try:
         ns = _PARSER.parse_args(argv)
         if ns.config:
-            # config entries go first, so an explicit flag, parsed last, wins
+            # config entries go first, so an explicit flag, parsed last, wins;
+            # a mode skips config entries it does not read, as a command does
+            given = ns.given
             ns = _PARSER.parse_args([*argv[:1], *_config_args(ns), *argv[1:]])
+            ns.given = given
         params = ModelParams(**{f.name: getattr(ns, f.name)
                                 for f in dataclasses.fields(ModelParams)})
         header, blocks = _COMMANDS[ns.command][0](ns, params)

@@ -58,18 +58,28 @@ computed grid; no history function is needed since lam in [0, 1] maps
   itself; using the datum makes the solver agree with the closed-form
   lam = 0 solution exactly, jump included.
 
-Linear runs: at lam = 0 the feedback is the datum, so f = r (1 - z0/k) z
-+ forcing is linear in z and the ABC and Caputo schemes are a
-lower-triangular Toeplitz system, a discrete linear Volterra convolution
-(Lubich, SIAM J. Math. Anal. 17, 1986).  After the t = 0 node these runs
-are solved in aligned leaves of 256 nodes, the first starting at node 1:
-each leaf is one convolution with the first column of the inverse of its
-Toeplitz matrix, the same for every leaf and found once per run by Newton
-power-series inversion, and the history from earlier leaves is added by
-the doubling blocks above.  If a node comes out non-finite, or not
-positive by more than the rounding error of its convolution, the run is
-solved again by the step loop, so every failure reports the loop's
-message and step.  CFC runs always take the loop.
+Leaves: after the t = 0 node, ABC and Caputo runs are solved in aligned
+leaves of 256 nodes, the first starting at node 1.  The nodes of one leaf
+solve z = v + A f(z), where A is the scheme's lower-triangular Toeplitz
+block for the leaf and v holds z0 and the history from earlier leaves,
+added by the doubling blocks above.  Each leaf takes Newton-type sweeps
+z <- G (v + A (f(z) - rho z)) with G = (I - rho A)^-1 and rho the mean
+slope of f over the leaf (Hairer, Lubich and Schlichte above; R. Garrappa,
+Mathematics 6, 2018, 16).  G is lower-triangular Toeplitz too: its first
+column comes from Newton power-series inversion and is rebuilt only when
+rho moves.  Delayed values are interpolated as in the step, from the
+current iterate where lam t_n falls inside the leaf.  At lam = 0 the
+feedback is the datum, so f = r (1 - z0/k) z + forcing is linear with
+slope rho (a discrete linear Volterra convolution, Lubich, SIAM J. Math.
+Anal. 17, 1986) and the first sweep solves the leaf.  A leaf is done when
+a sweep moves no node by more than four times the rounding error of its
+sums.  It is rejected when its sweeps would not get there within a pinned
+count at their rate of contraction, or when a node is non-finite or not
+positive beyond that rounding error.  The step loop then solves the
+rejected leaf from the same history and the next leaf is tried again, so
+every failure reports the loop's message and step.  CFC runs always take
+the loop.  ``Trajectory.stats`` counts the nodes each route solved, the
+sweeps and the rejected leaves.
 
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
@@ -80,7 +90,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import NamedTuple
 
@@ -99,14 +109,20 @@ __all__ = [
     "compare_operators",
 ]
 
-# Longer runs are refused up front: 2e6 ABC steps take 5-8 s (2 s at
-# lam = 0) and 205 MB on a 2-vCPU Xeon, 2e6 CFC steps 2 s and 75 MB, and
-# time and memory grow slightly faster than M.
+# Longer runs are refused up front: 2e6 ABC or Caputo steps take 3-5 s
+# (2.6 s at lam = 0) and 206 MB on a 2-vCPU Xeon, 2e6 CFC steps 3 s and
+# 75 MB, and time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
 # History blocks of this many nodes and more are added by FFT.
 _BLOCK = 64
-# lam = 0 ABC and Caputo runs are solved in aligned leaves of this many nodes.
+# ABC and Caputo runs are solved in aligned leaves of this many nodes.  A
+# leaf whose sweeps would take more than _SWEEPS goes to the step loop, which
+# solves a leaf in the time of 15 to 25 sweeps.  G is rebuilt when its rho,
+# off the leaf's mean slope by more than the slopes spread, would alone
+# leave more than _RHO_MOVE of the error after a sweep.
 _LEAF = 256
+_SWEEPS = 12
+_RHO_MOVE = 1e-3
 _EPS = np.finfo(float).eps
 # Lag weights: 12 Gauss-Legendre nodes, mapped to [0, 1] with the factor
 # (1 - s) folded into the weights, resolve (1 + s)^(mu-1) to rounding; from
@@ -166,12 +182,20 @@ class SolveConfig:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution values from one solver run."""
+    """Uniform-grid solution values from one solver run.
+
+    ``stats`` says how :func:`solve` got them: ``leaf_nodes`` and
+    ``loop_nodes``, the nodes after node 0 solved in leaves and by the step
+    loop; ``sweeps``, the leaf sweeps in all (one right-hand side call
+    each); ``max_sweeps``, the most in one leaf; ``rejected_leaves``, the
+    leaves handed to the step loop.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     operator: OperatorKind
     params: ModelParams
+    stats: dict = field(default_factory=dict)
 
 
 class OperatorComparison(NamedTuple):
@@ -233,8 +257,9 @@ def _lag_weights(mu: float, size: int) -> tuple:
     return w, end
 
 
-# Overflow in the history sums shows as a non-finite node, which raises.
-@np.errstate(over="ignore", invalid="ignore")
+# Overflow in the history sums, or a singular leaf matrix, shows as a
+# non-finite node, which raises.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(
     params: ModelParams,
     cfg: SolveConfig,
@@ -281,13 +306,14 @@ def solve(
     c_hist = c_quad * (h ** e / (e * (e + 1.0)))
     diag = c_point + c_hist
     f_hist = np.zeros(n_steps + 1)
+    stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0)
     if not cfc:
-        # far[n]: history of node n from nodes before its 8-node sub-block,
-        # plus the j = 0 end correction; nodes in the sub-block are summed
-        # per step.  far has room for node n_steps + 1, which the last pass
-        # of the loop prepares unused.
+        # far[n]: history of node n from nodes before its 8-node sub-block
+        # (before its leaf, in a leaf), plus the j = 0 end correction; nodes
+        # in the sub-block are summed per step, nodes in the leaf by A.
         w, end = _lag_weights(mu, max(n_steps + 1, _BLOCK))
         spectra = {}  # rfft of w[1:2P], by piece length P
+        near_w, tiles = [], {}  # the step loop's, built when it first runs
 
         def add_far(n: int) -> None:
             """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n."""
@@ -314,51 +340,101 @@ def solve(
                                     * spec, 2 * piece)
                 far[n:n + count] += conv[piece - 1:piece - 1 + count]
 
-        def solve_leaves(f_0: float) -> bool:
-            """Solve nodes 1 .. n_steps of a lam = 0 run; False if a node fails.
+        # The nodes of one leaf solve F(z) = z - v - A f(z) = 0, with A lower-
+        # triangular Toeplitz, A[i, j] = a_col[i - j], and v holding z0 and
+        # the history from before the leaf.
+        size = min(_LEAF, n_steps)
+        a_col = c_hist * w[:size]
+        a_col[0] = diag
 
-            The feedback is the datum z0, so f = rho z + forcing is linear in
-            z and the nodes of one leaf solve (qb I - c_hist rho T) z = v,
-            with T[i, j] = w[i - j] and v holding z0, the forcing and the
-            history from earlier leaves.  The inverse is lower-triangular
-            Toeplitz, the same for every leaf; its first column g is the
-            power series 1 / (qb - c_hist rho sum_m w[m] x^m), found by
-            Newton doubling, and each leaf is one convolution with g.
+        def build(rho: float) -> tuple:
+            """rho, the first columns g of G = (I - rho A)^-1 and ga of GA, the
+            norm of GA, and GA times (1, 1, 1, ...) and (1, 2, 3, ...).
+
+            g is the power series 1 / (1 - rho sum_m a_col[m] x^m), found by
+            Newton doubling.
             """
-            nonlocal far
-            rho = r * (1.0 - z0 / k)
-            qb = 1.0 - diag * rho
-            if qb == 0.0:
-                return False
-            size = min(_LEAF, n_steps)
-            a = -c_hist * rho * w[:size]
-            a[0] = qb
-            g = np.array([1.0 / qb])
-            while len(g) < size:  # a g = 1 + e x^len(g) + ...
+            b = -rho * a_col
+            b[0] += 1.0
+            g = np.array([1.0 / b[0]])
+            while len(g) < size:  # b g = 1 + e x^len(g) + ...
                 m = min(2 * len(g), size)
-                e = np.convolve(a[:m], g)[len(g):m]
+                e = np.convolve(b[:m], g)[len(g):m]
                 g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
-            far = end * f_0
-            far[1:_LEAF] += f_0 * w[1:_LEAF]  # node 0's lags into the first leaf
-            v0 = z0 + diag * forcing
-            fw = forcing * np.cumsum(w[:size])  # the forcing's lags within a leaf
-            g_abs = np.abs(g)
-            s = 1
-            while s <= n_steps:
-                stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
-                cnt = stop - s
-                v = v0 + c_hist * (far[s:stop] + fw[:cnt])
-                zl = np.convolve(g[:cnt], v)[:cnt]
-                # a node within the rounding error of its sum g * v may have
-                # either sign: the step loop decides it
-                tol = _EPS * np.convolve(g_abs[:cnt], np.abs(v))[:cnt]
-                if not np.all((zl > tol) & (zl < math.inf)):
-                    return False
+            ga = np.convolve(g, a_col)[:size]
+            ones = np.cumsum(ga)
+            return rho, g, ga, np.abs(ga).sum(), ones, np.cumsum(ones)
+
+        def leaf(s: int, stop: int) -> bool:
+            """Solve nodes s .. stop-1 in sweeps; False if the leaf is rejected.
+
+            Each sweep takes z <- G (v + A (f(z) - rho z)), a Newton-type step
+            with the Jacobian of f replaced by rho I.  rho is the mean slope
+            of f along a uniform shift of the leaf's first iterate; G is
+            rebuilt when rho moves.  The first iterate extrapolates
+            f - rho z linearly over the last leaf (constant for the first);
+            at lam = 0 that is exact, so the first iterate is the solution.
+            A leaf is rejected when its sweeps stop contracting, or their rate
+            would need more than _SWEEPS.
+            """
+            nonlocal lin
+            cnt = stop - s
+            v = z0 + c_hist * far[s:stop]
+            if s == 1:  # node 0's lags, which the step loop sums as near ones
+                v += c_hist * w[1:stop] * f_hist[0]
+            zd, shift = z0, 0.0  # lam = 0 feeds back the datum
+            if lam:
+                idx = np.arange(s, stop)
+                pos = lam * idx  # the step loop's arithmetic
+                j = pos.astype(np.intp)
+                theta = pos - j
+                j1 = np.minimum(j + 1, idx)  # lam = 1: j = n, theta = 0
+                theta0 = 1.0 - theta
+                shift = theta0 * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
+            rho, g, ga, ga_norm, ones, ramp = lin
+            q = f_hist[s - 1] - rho * z[s - 1]
+            slope = 0.0 if s == 1 else (q - f_hist[s - _LEAF] + rho * z[s - _LEAF]) / (_LEAF - 1)
+            gv = np.convolve(g[:cnt], v)[:cnt]
+            zl = gv + q * ones[:cnt] + slope * ramp[:cnt]
+            worst = math.inf
+            for sweep in range(1, _SWEEPS + 1):
                 z[s:stop] = zl
-                f_hist[s:stop] = logistic_rhs(p, zl, z0, forcing)
-                if stop <= n_steps:
-                    add_far(stop)
-                s = stop
+                if lam:
+                    zd = theta0 * z[j] + theta * z[j1]
+                fl = logistic_rhs(p, zl, zd, forcing)
+                if sweep == 1:
+                    # the slope of each f_n along a uniform shift of the leaf.
+                    # G is rebuilt at their mean only where they cluster: built
+                    # at the mean of slopes that spread over 1e30 (a first
+                    # iterate that overshoots), G would barely move the nodes
+                    # while the sweeps stall, and pass the stop test
+                    slopes = r * (1.0 - (zd + shift * zl) / k)
+                    mean = slopes.mean()
+                    spread = np.abs(slopes - mean).max()
+                    if abs(mean - rho) * ga_norm > max(_RHO_MOVE, spread * ga_norm):
+                        lin = build(mean)
+                        rho, g, ga, ga_norm = lin[:4]
+                        gv = np.convolve(g[:cnt], v)[:cnt]
+                    # four times the rounding error of the two sums
+                    tol = 4.0 * _EPS * (np.convolve(np.abs(g[:cnt]), np.abs(v))[:cnt]
+                                        + np.convolve(np.abs(ga[:cnt]),
+                                                      np.abs(fl) + np.abs(rho * zl))[:cnt])
+                zn = gv + np.convolve(ga[:cnt], fl - rho * zl)[:cnt]
+                last, worst = worst, (np.abs(zn - zl) / tol).max()
+                # stop at convergence, or when the rate of contraction says
+                # the sweeps would not get there
+                if (not 1.0 < worst < last
+                        or sweep + math.log(worst) / math.log(last / worst) > _SWEEPS):
+                    break
+                zl = zn
+            stats["sweeps"] += sweep
+            stats["max_sweeps"] = max(stats["max_sweeps"], sweep)
+            # a node within the rounding error of its sums may have either
+            # sign: the step loop decides it
+            if not (worst <= 1.0 and np.all(4.0 * zl > tol)):
+                return False
+            f_hist[s:stop] = fl
+            stats["leaf_nodes"] += cnt
             return True
 
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
@@ -367,82 +443,98 @@ def solve(
     # f_hist through memoryviews, which give Python floats, and calls numpy
     # only where a node starts an 8-node sub-block.
     zs, fs = z.data, f_hist.data
-    base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
-    zn = z0  # the previous node's value; z0 before the first
-    for n in range(n_steps + 1):
-        # delayed value a + b * z_n
-        if lam == 0.0:
-            a, b = z0, 0.0
-        else:
-            pos = lam * n  # grid units of lam * t_n
-            j = int(pos)
-            if j >= n:
-                a, b = 0.0, 1.0
-            else:
-                theta = pos - j
-                a = (1.0 - theta) * zs[j]
-                if j + 1 == n:
-                    b = theta
-                else:
-                    a, b = a + theta * zs[j + 1], 0.0
-        # A z^2 + B z - C = 0
-        rd = d * r
-        qa = rd * b / k
-        qb = 1.0 - rd * (1.0 - a / k)
-        qc = base + d * forcing
-        if qa == 0.0:
-            if qb == 0.0:
-                raise SolverError(f"no real root at step {n}", step=n)
-            zn = qc / qb
-        else:
-            disc = qb * qb + 4.0 * qa * qc
-            if disc < 0.0:
-                raise SolverError(f"no real root at step {n}", step=n)
-            q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-            if q == 0.0:  # double root at 0
-                zn = 0.0
-            else:
-                # the two roots, each without cancellation; the one nearest
-                # the previous node
-                r1, r2 = q / qa, -qc / q
-                zn = r1 if abs(r1 - zn) < abs(r2 - zn) else r2
-        if not math.isfinite(zn):
-            raise SolverError(f"non-finite state at step {n}", step=n)
-        if zn <= 0.0:
-            raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
-        fn = logistic_rhs(p, zn, a + b * zn, forcing)
-        zs[n] = zn
-        fs[n] = fn
 
-        # the history of node m = n + 1
-        if not n:  # f(0) is known
-            d = diag
-            if cfc:
-                base0, integral = z0 - c_point * fn, 0.0  # quadrature over completed cells
-            else:
-                if lam == 0.0 and solve_leaves(fn):
-                    break
+    def steps(lo: int, hi: int) -> None:
+        """Solve nodes lo .. hi-1 one at a time; lo is 0, 1 or a leaf boundary."""
+        base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
+        zn = zs[lo - 1] if lo else z0  # the previous node's value
+        if lo and not cfc:
+            if not near_w:
                 # near_w[s][i] = w[s - i]; blocks of 8, 16 and 32 nodes go
                 # through dense Toeplitz matrices, tiles[L][i, j] = w[L + i - j],
                 # longer ones through FFT
-                near_w = [w[s:0:-1].tolist() for s in range(8)]
+                near_w.extend(w[s:0:-1].tolist() for s in range(8))
                 idx = np.arange(_BLOCK // 2)
-                tiles = {size: w[size + idx[:size, None] - idx[:size]] for size in (8, 16, 32)}
-                far = end * fn
-                far_blk = far[:8].tolist()
-        elif cfc:
-            integral += 0.5 * h * (fs[n - 1] + fn)
-        if cfc:
-            base = base0 + c_quad * (integral + 0.5 * h * fn)
-        else:
-            m = n + 1
-            sub = m & 7
-            if not sub and m <= n_steps:  # m starts a sub-block
-                add_far(m)
-                far_blk = far[m:m + 8].tolist()
-            base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[m - sub:m])))
+                tiles.update((size, w[size + idx[:size, None] - idx[:size]])
+                             for size in (8, 16, 32))
+            far_blk = far[lo & -8:(lo & -8) + 8].tolist()
+        stats["loop_nodes"] += hi - max(lo, 1)
+        for n in range(lo, hi):
+            if n:  # the history of node n
+                d = diag
+                if cfc:  # fn is f(t_{n-1})
+                    if n > 1:  # quadrature over completed cells
+                        integral += 0.5 * h * (fs[n - 2] + fn)
+                    else:
+                        base0, integral = z0 - c_point * fn, 0.0
+                    base = base0 + c_quad * (integral + 0.5 * h * fn)
+                else:
+                    sub = n & 7
+                    if not sub and n > lo:  # n starts a sub-block
+                        add_far(n)
+                        far_blk = far[n:n + 8].tolist()
+                    base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[n - sub:n])))
+            # delayed value a + b * z_n
+            if lam == 0.0:
+                a, b = z0, 0.0
+            else:
+                pos = lam * n  # grid units of lam * t_n
+                j = int(pos)
+                if j >= n:
+                    a, b = 0.0, 1.0
+                else:
+                    theta = pos - j
+                    a = (1.0 - theta) * zs[j]
+                    if j + 1 == n:
+                        b = theta
+                    else:
+                        a, b = a + theta * zs[j + 1], 0.0
+            # A z^2 + B z - C = 0
+            rd = d * r
+            qa = rd * b / k
+            qb = 1.0 - rd * (1.0 - a / k)
+            qc = base + d * forcing
+            if qa == 0.0:
+                if qb == 0.0:
+                    raise SolverError(f"no real root at step {n}", step=n)
+                zn = qc / qb
+            else:
+                disc = qb * qb + 4.0 * qa * qc
+                if disc < 0.0:
+                    raise SolverError(f"no real root at step {n}", step=n)
+                q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+                if q == 0.0:  # double root at 0
+                    zn = 0.0
+                else:
+                    # the two roots, each without cancellation; the one nearest
+                    # the previous node
+                    r1, r2 = q / qa, -qc / q
+                    zn = r1 if abs(r1 - zn) < abs(r2 - zn) else r2
+            if not math.isfinite(zn):
+                raise SolverError(f"non-finite state at step {n}", step=n)
+            if zn <= 0.0:
+                raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
+            fn = logistic_rhs(p, zn, a + b * zn, forcing)
+            zs[n] = zn
+            fs[n] = fn
 
-    return Trajectory(grid=grid, values=z, operator=op, params=p)
+    # ABC and Caputo solve node 0 by the step, then aligned leaves of _LEAF
+    # nodes from node 1; a rejected leaf is solved by the step loop.
+    steps(0, n_steps + 1 if cfc else 1)
+    if not cfc:
+        far = end * f_hist[0]
+        # f's slope at node 0: the datum feeds back at lam = 0; otherwise
+        # z(lam t) moves with z, as it does inside the first leaf
+        lin = build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * z[0]) / k))
+        for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
+            stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
+            if not leaf(s, stop):
+                stats["rejected_leaves"] += 1
+                steps(s, stop)
+            if stop <= n_steps:
+                add_far(stop)
+
+    return Trajectory(grid=grid, values=z, operator=op, params=p, stats=stats)
 
 
 def compare_operators(params: ModelParams, cfg_base: SolveConfig) -> OperatorComparison:

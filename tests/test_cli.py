@@ -195,10 +195,14 @@ class TestSeriesCommands:
 
     @pytest.mark.parametrize("command, lam", [("hsv", "0.2"), ("convergence", "0.3")])
     def test_square_mode_is_the_undelayed_series(self, capsys, command, lam):
-        square = run_cli(capsys, command, "--mode", "square", "--lambda", lam)
+        square = run_cli(capsys, command, "--mode", "square")
         undelayed = run_cli(capsys, command, "--lambda", "1")
         assert square[0] == 0
         assert square == undelayed
+        # the undelayed series reads no --lambda
+        code, out, err = run_cli(capsys, command, "--mode", "square", "--lambda", lam)
+        assert (code, out) == (2, "")
+        assert "--lambda" in err
 
     def test_square_mode_surface_repeats_the_undelayed_curve(self, capsys):
         grid = ("--t-end", "5", "--points", "6", "--n-terms", "8")
@@ -224,8 +228,9 @@ class TestSeriesCommands:
             return hsv_iterate(params, n_terms)
 
         monkeypatch.setattr("fraclogistic.cli.hsv_iterate", counted)
+        # --vary both evaluates at --at-t and takes no --points
         argv = ("surface", "--vary", vary, "--mode", "square", "--n-terms", "4",
-                "--points", "3")
+                *(("--points", "3") if vary == "lambda" else ()))
         first = run_cli(capsys, *argv)
         assert first[0] == 0
         assert len(calls) == len(set(calls)) == builds
@@ -284,6 +289,44 @@ def test_flags_a_command_does_not_read_are_refused(capsys, command, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("surface", "--vary", "mu", "--at-t", "2"),
+    ("surface", "--vary", "lambda", "--at-t", "2"),
+    ("surface", "--vary", "both", "--t-end", "3"),
+    ("surface", "--vary", "both", "--points", "5"),
+    ("surface", "--vary", "mu", "--mode", "square", "--lambda", "0.3"),
+    ("hsv", "--mode", "square", "--lambda", "0.3"),
+    ("convergence", "--mode", "square", "--lambda", "0.3"),
+    ("exact-lambda0", "--from", "0.5"),
+    ("exact-lambda0", "--to", "0.5"),
+    ("exact-lambda0", "--step", "0.2"),
+])
+def test_flags_a_mode_does_not_read_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert argv[-2] in err
+
+
+def test_mode_skips_config_entries_it_does_not_read(capsys, tmp_path):
+    # as a command skips the keys it does not take
+    config = tmp_path / "run.json"
+    for argv, entry in ((("hsv", "--mode", "square"), '"lambda": 0.3'),
+                        (("surface", "--vary", "mu"), '"at-t": 2'),
+                        (("exact-lambda0",), '"from": 0.5')):
+        config.write_text("{" + entry + "}")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, *argv)
+
+
+def test_exact_lambda0_offers_only_mu_sweep(capsys):
+    code, out, _ = run_cli(capsys, "exact-lambda0", "--help")
+    assert code == 0
+    assert "--vary {mu}" in out
+    assert run_cli(capsys, "exact-lambda0", "--vary", "lambda")[0] == 2
 
 
 class TestOutputContract:

@@ -166,6 +166,8 @@ class TestBasicBehaviour:
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_one_rhs_call_per_node(self, monkeypatch, operator):
+        # one call per node the step solves (node 0 and the loop's nodes),
+        # one per leaf sweep; CFC steps through every node
         calls = []
 
         def counted(*args):
@@ -177,7 +179,12 @@ class TestBasicBehaviour:
         for steps in (1, 100, 1100):
             calls.clear()
             traj = solve(p, SolveConfig(operator=operator, t_end=steps * 0.01, h=0.01))
-            assert len(traj.values) == len(calls) == steps + 1
+            stats = traj.stats
+            assert len(traj.values) == steps + 1
+            assert len(calls) <= 1 + stats["loop_nodes"] + stats["sweeps"]
+            assert stats["leaf_nodes"] + stats["loop_nodes"] == steps
+            if operator == "cfc":
+                assert len(calls) == steps + 1
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_lambda_zero_rhs_calls(self, monkeypatch, operator):
@@ -203,7 +210,8 @@ class TestBasicBehaviour:
     @pytest.mark.parametrize("operator", ["abc", "caputo"])
     def test_lambda_zero_fallback_after_accepted_leaves(self, monkeypatch, operator):
         # z = 10 exp(-9 t) nears rounding level in the third leaf, which the
-        # leaf solve rejects; the step loop then solves nodes 1 .. 610 again
+        # leaf solve rejects; the step loop takes over at its first node, 512,
+        # and meets a node that rounding makes negative
         calls = []
 
         def counted(*args):
@@ -212,11 +220,45 @@ class TestBasicBehaviour:
 
         monkeypatch.setattr("fraclogistic.solvers.logistic_rhs", counted)
         p = ModelParams(r=-10.0, k=100.0, z0=10.0, mu=1.0, lam=0.0)
-        traj = solve(p, SolveConfig(operator=operator, t_end=4.0, h=4.0 / 610))
-        assert len(calls) == 1 + 2 + 610  # node 0, leaves 1 and 2, the loop
-        assert len(traj.values) == 611
-        assert hashlib.sha256(traj.values.tobytes()).hexdigest() == (
-            "90957a4eb672c7beee9c2be4f1ca0ada3e3bf2b8be7e1ad232e9b4c973974867")
+        with pytest.raises(SolverError, match="non-positive") as excinfo:
+            solve(p, SolveConfig(operator=operator, t_end=4.0, h=4.0 / 610))
+        assert excinfo.value.step == 608
+        # node 0, one sweep in each of leaves 1 to 3, the loop's nodes 512 .. 607
+        assert len(calls) == 1 + 3 + (608 - 512)
+
+    # r = 2: the sweeps would contract too slowly in ABC's leaves 1 and 2
+    # and in Caputo's leaf 2 (nodes 256 .. 511); the step loop solves those,
+    # and the next leaf is solved in sweeps again
+    @pytest.mark.parametrize("operator, rejected, loop_nodes",
+                             [("abc", 2, 511), ("caputo", 1, 256)])
+    def test_rejected_leaf_hands_over_to_the_loop(self, monkeypatch, operator,
+                                                  rejected, loop_nodes):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return logistic_rhs(*args)
+
+        monkeypatch.setattr("fraclogistic.solvers.logistic_rhs", counted)
+        p = ModelParams(r=2.0, k=100.0, z0=10.0, mu=0.7, lam=0.5)
+        cfg = SolveConfig(operator=operator, t_end=1.2, h=0.002)
+        traj = solve(p, cfg)
+        stats = traj.stats
+        assert stats["rejected_leaves"] == rejected
+        assert (stats["loop_nodes"], stats["leaf_nodes"]) == (loop_nodes, 600 - loop_nodes)
+        assert len(calls) == 1 + loop_nodes + stats["sweeps"]
+        assert max_rel(traj.values, reference_solve(p, cfg)) <= 1e-12
+
+    def test_default_compare_solves_in_leaves(self):
+        # the CLI's compare defaults: every ABC and Caputo node after node 0
+        # comes from a leaf
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
+        trio = compare_operators(p, SolveConfig(operator="abc", t_end=10.0, h=0.01))
+        for traj in (trio.abc, trio.caputo):
+            assert traj.stats["leaf_nodes"] == 1000
+            assert traj.stats["loop_nodes"] == traj.stats["rejected_leaves"] == 0
+            assert 1 <= traj.stats["max_sweeps"] <= 12
+        assert trio.cfc.stats["loop_nodes"] == 1000
 
     def test_grid_metadata(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=1.0)
@@ -315,6 +357,18 @@ class TestReferenceEquivalence:
             ref = reference_solve(p, cfg, pantograph=pantograph)
             assert max_rel(got, ref) <= 1e-12
 
+    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_long_run(self, operator, lam):
+        # 16 leaves, whose history enters through FFT blocks of up to 2048
+        # nodes
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
+        h = 2.0 ** -6
+        cfg = SolveConfig(operator=operator, t_end=4096 * h, h=h)
+        traj = solve(p, cfg)
+        assert traj.stats["leaf_nodes"] == 4096
+        assert max_rel(traj.values, reference_solve(p, cfg)) <= 1e-12
+
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_lambda_zero_with_forcing(self, operator):
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=0.0)
@@ -324,6 +378,20 @@ class TestReferenceEquivalence:
             got = solve(p, cfg, forcing=1e-3).values
             ref = reference_solve(p, cfg, forcing=1e-3)
             assert max_rel(got, ref) <= 1e-12
+
+    def test_leaf_far_from_linear_goes_to_the_loop(self):
+        # one 80-node leaf over t in [0, 4] at r = 5: the first iterate,
+        # linearised at node 0, grows to 7e31, where f's slope is -4e30.  A G
+        # rebuilt at the slopes' mean moved no node by much and passed the
+        # stop test with values off by 1e17; the leaf must go to the step
+        # loop.  The plain fixed point of reference_solve diverges here; the
+        # hash is the step loop's, recorded before leaves solved lam > 0 runs
+        p = ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.5, lam=0.25)
+        traj = solve(p, SolveConfig(operator="caputo", t_end=4.0, h=0.05))
+        assert traj.stats["rejected_leaves"] == 1
+        assert traj.stats["loop_nodes"] == 80
+        assert hashlib.sha256(traj.values.tobytes()).hexdigest() == (
+            "c55b6e6f38de63daff644f95896d89d8e5f01aff01cc6b259841838cc9854f3a")
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_fast_growth_steps_are_converged(self, operator):
