@@ -113,8 +113,6 @@ _CHOICES = {
     "--mode": ["general", "square"],
     "--vary": ["mu", "lambda", "both"],
 }
-# exact-lambda0 has no closed form in lam
-_COMMAND_CHOICES = {("exact-lambda0", "--vary"): ["mu"]}
 
 _SHARED = ("--r", "--k", "--z0", "--mu", "--lambda", "--b-norm", "--t-end")
 # the lam = 0 and geometric forms read no delay
@@ -250,6 +248,8 @@ def _cmd_surface(ns, params):
         _refuse(ns, ("--at-t",), f"with --vary {ns.vary}")
         return _cmd_hsv(ns, params)
     _refuse(ns, ("--from", "--to", "--step", "--t-end", "--points"), "with --vary both")
+    # both axes take their default sweeps, whatever a config file holds
+    ns.sweep_from = ns.sweep_to = ns.sweep_step = None
     mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
     built = {}
     zs = [[hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
@@ -310,9 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(given=frozenset())
         for flag, (dest, kind, default, text) in _FLAGS.items():
             if flag in flags:
+                # exact-lambda0 has no closed form in lam
+                choices = (["mu"] if (command, flag) == ("exact-lambda0", "--vary")
+                           else _CHOICES.get(flag))
                 sub.add_argument(flag, dest=dest, type=kind, default=default, help=text,
-                                 action=_Given, choices=_COMMAND_CHOICES.get(
-                                     (command, flag), _CHOICES.get(flag)))
+                                 action=_Given, choices=choices)
             else:  # every command sees every setting, so one ModelParams serves all
                 sub.set_defaults(**{dest: default})
     return parser

@@ -67,19 +67,21 @@ z <- G (v + A (f(z) - rho z)) with G = (I - rho A)^-1 and rho the mean
 slope of f over the leaf (Hairer, Lubich and Schlichte above; R. Garrappa,
 Mathematics 6, 2018, 16).  G is lower-triangular Toeplitz too: its first
 column comes from Newton power-series inversion and is rebuilt only when
-rho moves.  Delayed values are interpolated as in the step, from the
-current iterate where lam t_n falls inside the leaf.  At lam = 0 the
-feedback is the datum, so f = r (1 - z0/k) z + forcing is linear with
-slope rho (a discrete linear Volterra convolution, Lubich, SIAM J. Math.
-Anal. 17, 1986) and the first sweep solves the leaf.  A leaf is done when
-a sweep moves no node by more than four times the rounding error of its
-sums.  It is rejected when its sweeps would not get there within a pinned
-count at their rate of contraction, or when a node is non-finite or not
-positive beyond that rounding error.  The step loop then solves the
-rejected leaf from the same history and the next leaf is tried again, so
-every failure reports the loop's message and step.  CFC runs always take
-the loop.  ``Trajectory.stats`` counts the nodes each route solved, the
-sweeps and the rejected leaves.
+rho moves.  A sweep is summed as v + GA (f(z) + rho (v - z)), which
+rounds only the increment over v, so the leaves round like the step.
+Delayed values are interpolated as in the step, from the current iterate
+where lam t_n falls inside the leaf.  At lam = 0 the feedback is the
+datum, so f = r (1 - z0/k) z + forcing is linear with slope rho (a
+discrete linear Volterra convolution, Lubich, SIAM J. Math. Anal. 17,
+1986) and the first iterate, one product with G, solves the leaf.  A leaf
+is done when a sweep moves no node by more than four times the rounding
+error of its sums.  It is rejected when its sweeps would not get there
+within a pinned count at their rate of contraction, when a node is not
+positive beyond that rounding error, or when f sums to overflow over the
+leaf.  The step loop then solves the rejected leaf from the same history
+and the next leaf is tried again, so every failure reports the loop's
+message and step.  CFC runs always take the loop.  ``Trajectory.stats``
+counts the nodes each route solved, the sweeps and the rejected leaves.
 
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
@@ -109,8 +111,8 @@ __all__ = [
     "compare_operators",
 ]
 
-# Longer runs are refused up front: 2e6 ABC or Caputo steps take 3-5 s
-# (2.6 s at lam = 0) and 206 MB on a 2-vCPU Xeon, 2e6 CFC steps 3 s and
+# Longer runs are refused up front: 2e6 ABC or Caputo steps take 3-6 s
+# (1.8 s at lam = 0) and 206 MB on a 2-vCPU Xeon, 2e6 CFC steps 3 s and
 # 75 MB, and time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
 # History blocks of this many nodes and more are added by FFT.
@@ -346,10 +348,10 @@ def solve(
         size = min(_LEAF, n_steps)
         a_col = c_hist * w[:size]
         a_col[0] = diag
+        a_sum = np.cumsum(a_col)  # A times (1, 1, 1, ...)
 
         def build(rho: float) -> tuple:
-            """rho, the first columns g of G = (I - rho A)^-1 and ga of GA, the
-            norm of GA, and GA times (1, 1, 1, ...) and (1, 2, 3, ...).
+            """rho and the first columns g of G = (I - rho A)^-1 and ga of GA.
 
             g is the power series 1 / (1 - rho sum_m a_col[m] x^m), found by
             Newton doubling.
@@ -361,24 +363,26 @@ def solve(
                 m = min(2 * len(g), size)
                 e = np.convolve(b[:m], g)[len(g):m]
                 g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
-            ga = np.convolve(g, a_col)[:size]
-            ones = np.cumsum(ga)
-            return rho, g, ga, np.abs(ga).sum(), ones, np.cumsum(ones)
+            # lam = 0 leaves need no GA
+            return rho, g, np.convolve(g, a_col)[:size] if lam else None
 
         def leaf(s: int, stop: int) -> bool:
             """Solve nodes s .. stop-1 in sweeps; False if the leaf is rejected.
 
             Each sweep takes z <- G (v + A (f(z) - rho z)), a Newton-type step
-            with the Jacobian of f replaced by rho I.  rho is the mean slope
-            of f along a uniform shift of the leaf's first iterate; G is
-            rebuilt when rho moves.  The first iterate extrapolates
-            f - rho z linearly over the last leaf (constant for the first);
-            at lam = 0 that is exact, so the first iterate is the solution.
+            with the Jacobian of f replaced by rho I, summed as v + GA (f(z)
+            + rho (v - z)), since G = I + rho GA.  rho is the mean slope of f
+            along a uniform shift of the leaf's first iterate; G is rebuilt
+            when rho moves.  The first iterate G (v + q A 1) holds f - rho z
+            at q, its value at the last node.  At lam = 0, f - rho z is the
+            forcing, so the first iterate is the solution: the leaf's one
+            sweep only evaluates f there.
             A leaf is rejected when its sweeps stop contracting, or their rate
             would need more than _SWEEPS.
             """
             nonlocal lin
             cnt = stop - s
+            rho, g, ga = lin
             v = z0 + c_hist * far[s:stop]
             if s == 1:  # node 0's lags, which the step loop sums as near ones
                 v += c_hist * w[1:stop] * f_hist[0]
@@ -389,37 +393,35 @@ def solve(
                 j = pos.astype(np.intp)
                 theta = pos - j
                 j1 = np.minimum(j + 1, idx)  # lam = 1: j = n, theta = 0
-                theta0 = 1.0 - theta
-                shift = theta0 * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
-            rho, g, ga, ga_norm, ones, ramp = lin
-            q = f_hist[s - 1] - rho * z[s - 1]
-            slope = 0.0 if s == 1 else (q - f_hist[s - _LEAF] + rho * z[s - _LEAF]) / (_LEAF - 1)
-            gv = np.convolve(g[:cnt], v)[:cnt]
-            zl = gv + q * ones[:cnt] + slope * ramp[:cnt]
-            worst = math.inf
+                shift = (1.0 - theta) * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
+            vq = v + (f_hist[s - 1] - rho * z[s - 1]) * a_sum[:cnt]
+            zl = np.convolve(g[:cnt], vq)[:cnt]
+            worst = math.inf if lam else 0.0
             for sweep in range(1, _SWEEPS + 1):
                 z[s:stop] = zl
                 if lam:
-                    zd = theta0 * z[j] + theta * z[j1]
+                    zd = (1.0 - theta) * z[j] + theta * z[j1]
                 fl = logistic_rhs(p, zl, zd, forcing)
                 if sweep == 1:
-                    # the slope of each f_n along a uniform shift of the leaf.
-                    # G is rebuilt at their mean only where they cluster: built
-                    # at the mean of slopes that spread over 1e30 (a first
-                    # iterate that overshoots), G would barely move the nodes
-                    # while the sweeps stall, and pass the stop test
-                    slopes = r * (1.0 - (zd + shift * zl) / k)
-                    mean = slopes.mean()
-                    spread = np.abs(slopes - mean).max()
-                    if abs(mean - rho) * ga_norm > max(_RHO_MOVE, spread * ga_norm):
-                        lin = build(mean)
-                        rho, g, ga, ga_norm = lin[:4]
-                        gv = np.convolve(g[:cnt], v)[:cnt]
+                    if lam:
+                        # the slope of each f_n along a uniform shift of the
+                        # leaf.  G is rebuilt at their mean only where they
+                        # cluster: built at the mean of slopes that spread
+                        # over 1e30 (a first iterate that overshoots), G would
+                        # barely move the nodes while the sweeps stall, and
+                        # pass the stop test
+                        slopes = r * (1.0 - (zd + shift * zl) / k)
+                        mean = slopes.mean()
+                        if abs(mean - rho) > max(_RHO_MOVE / np.abs(ga).sum(),
+                                                 np.abs(slopes - mean).max()):
+                            lin = rho, g, ga = build(mean)
                     # four times the rounding error of the two sums
-                    tol = 4.0 * _EPS * (np.convolve(np.abs(g[:cnt]), np.abs(v))[:cnt]
-                                        + np.convolve(np.abs(ga[:cnt]),
-                                                      np.abs(fl) + np.abs(rho * zl))[:cnt])
-                zn = gv + np.convolve(ga[:cnt], fl - rho * zl)[:cnt]
+                    tol = 4.0 * _EPS * np.convolve(np.abs(g[:cnt]), np.abs(vq))[:cnt]
+                    if not lam:
+                        break
+                    tol += 4.0 * _EPS * np.convolve(
+                        np.abs(ga[:cnt]), np.abs(fl) + np.abs(rho * (v - zl)))[:cnt]
+                zn = v + np.convolve(ga[:cnt], fl + rho * (v - zl))[:cnt]
                 last, worst = worst, (np.abs(zn - zl) / tol).max()
                 # stop at convergence, or when the rate of contraction says
                 # the sweeps would not get there
@@ -429,13 +431,12 @@ def solve(
                 zl = zn
             stats["sweeps"] += sweep
             stats["max_sweeps"] = max(stats["max_sweeps"], sweep)
+            f_hist[s:stop] = fl  # the step loop overwrites a rejected leaf
             # a node within the rounding error of its sums may have either
-            # sign: the step loop decides it
-            if not (worst <= 1.0 and np.all(4.0 * zl > tol)):
-                return False
-            f_hist[s:stop] = fl
-            stats["leaf_nodes"] += cnt
-            return True
+            # sign, and the step loop's sums over a leaf whose f sums to
+            # overflow may overflow before the leaf's nodes do: the loop
+            # decides both
+            return worst <= 1.0 and np.all(4.0 * zl > tol) and np.abs(fl).sum() < math.inf
 
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
     # keeps its pointwise f term (the jump amplitude on linear problems);
@@ -533,6 +534,7 @@ def solve(
                 steps(s, stop)
             if stop <= n_steps:
                 add_far(stop)
+    stats["leaf_nodes"] = n_steps - stats["loop_nodes"]
 
     return Trajectory(grid=grid, values=z, operator=op, params=p, stats=stats)
 

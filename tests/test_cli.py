@@ -315,6 +315,8 @@ def test_mode_skips_config_entries_it_does_not_read(capsys, tmp_path):
     config = tmp_path / "run.json"
     for argv, entry in ((("hsv", "--mode", "square"), '"lambda": 0.3'),
                         (("surface", "--vary", "mu"), '"at-t": 2'),
+                        (("surface", "--vary", "both"), '"from": 0.5'),
+                        (("surface", "--vary", "both"), '"to": 0.5, "step": 0.3'),
                         (("exact-lambda0",), '"from": 0.5')):
         config.write_text("{" + entry + "}")
         code, out, err = run_cli(capsys, *argv, "--config", str(config))
