@@ -31,16 +31,19 @@ def classical_exact(p: ModelParams, t):
     z0 > k with r < 0, where it reaches 0 at ``t* = ln(z0/(z0 - k))/(-r)``
     and the solution blows up; a requested t >= t* raises
     :class:`SingularParameterError`.  Overflow of ``e^{-r t}`` gives z = 0.
+    For z0 > k the denominator is summed as ``z0 (1 - e^{-r t}) + k e^{-r t}``,
+    whose terms cannot cancel for r >= 0, so a z0 far above k still decays to k.
     """
     ts, _ = special.time_powers(t, 1.0)
-    with np.errstate(over="ignore"):  # inf, as Python floats give
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, as Python floats give
         # -r t beyond the double range gives E_1 = 0 or inf, as at -+1e300
         decay = special.mittag_leffler(1.0, np.clip(-p.r * ts, -1e300, 1e300))
-        # at z0 = k the decay term is absent: 0 * inf would give nan
-        den = p.z0 + (p.k - p.z0) * decay if p.k != p.z0 else np.full(len(ts), p.z0)
-        if (den <= 0.0).any():
-            # r < 0 < z0 - k, or z0 so far above k that z0 + (k - z0) rounds to 0
-            t_star = math.log(p.z0 / (p.z0 - p.k)) / -p.r if p.r < 0.0 else 0.0
+        if p.z0 > p.k:
+            den = p.z0 * (1.0 - decay) + p.k * decay
+        else:  # both terms >= 0; at z0 = k the decay term is absent: 0 * inf would give nan
+            den = p.z0 + (p.k - p.z0) * decay if p.k != p.z0 else np.full(len(ts), p.z0)
+        if not (den > 0.0).all():  # r < 0 < z0 - k; nan where e^{-r t} overflowed
+            t_star = math.log1p(-p.k / p.z0) / p.r
             raise SingularParameterError(f"the classical solution blows up at t* = "
                                          f"{t_star:.12g}, before t = {ts.max():.12g}")
         z = p.z0 * p.k / den

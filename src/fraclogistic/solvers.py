@@ -66,11 +66,21 @@ added by the doubling blocks above.  Each leaf takes Newton-type sweeps
 z <- G (v + A (f(z) - rho z)) with G = (I - rho A)^-1 and rho the mean
 slope of f over the leaf (Hairer, Lubich and Schlichte above; R. Garrappa,
 Mathematics 6, 2018, 16).  G is lower-triangular Toeplitz too: its first
-column comes from Newton power-series inversion and is rebuilt only when
-rho moves.  A sweep is summed as v + GA (f(z) + rho (v - z)), which
-rounds only the increment over v, so the leaves round like the step.
-Delayed values are interpolated as in the step, from the current iterate
-where lam t_n falls inside the leaf.  At lam = 0 the feedback is the
+column comes from Newton power-series inversion, and it is rebuilt only
+when rho moves.  G and GA depend on nothing but the scheme (A) and rho, so
+a small cache keeps the last ones built and solves of one scheme share
+them.  A lam > 0 leaf that rebuilds G takes the rung nearest its mean
+slope on a grid of spacing _RHO_MOVE / ||A||_1, which the scheme alone
+fixes; so the stability probe's four solves, and leaves whose slopes fall
+on one rung, build G once.  A leaf whose slopes cluster within half a
+rung keeps its exact mean, where the rung would slow its sweeps.  The
+first G of a run is built at f's slope at node 0, which lam = 0 leaves
+keep: their first iterate solves the leaf only at the true slope.  As G
+is a function of its key alone, no value depends on what was cached.  A
+sweep is summed as v + GA (f(z) + rho (v - z)), which rounds only the
+increment over v, so the leaves round like the step.  Delayed values
+are interpolated as in the step, from the current iterate where lam t_n
+falls inside the leaf.  At lam = 0 the feedback is the
 datum, so f = r (1 - z0/k) z + forcing is linear with slope rho (a
 discrete linear Volterra convolution, Lubich, SIAM J. Math. Anal. 17,
 1986) and the first iterate, one product with G, solves the leaf.  A leaf
@@ -81,7 +91,8 @@ positive beyond that rounding error, or when f sums to overflow over the
 leaf.  The step loop then solves the rejected leaf from the same history
 and the next leaf is tried again, so every failure reports the loop's
 message and step.  CFC runs always take the loop.  ``Trajectory.stats``
-counts the nodes each route solved, the sweeps and the rejected leaves.
+counts the nodes each route solved, the sweeps, the rejected leaves and
+the inverses built.
 
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
@@ -121,7 +132,10 @@ _BLOCK = 64
 # leaf whose sweeps would take more than _SWEEPS goes to the step loop, which
 # solves a leaf in the time of 15 to 25 sweeps.  G is rebuilt when its rho,
 # off the leaf's mean slope by more than the slopes spread, would alone
-# leave more than _RHO_MOVE of the error after a sweep.
+# leave more than _RHO_MOVE of the error after a sweep.  A rebuilt G's rho
+# lies on a rung of spacing _RHO_MOVE / ||A||_1 (A's norm is fixed by the
+# scheme, G A's is not), so a rung moves rho by at most half what a sweep
+# tolerates where G A is no larger than A.
 _LEAF = 256
 _SWEEPS = 12
 _RHO_MOVE = 1e-3
@@ -190,7 +204,8 @@ class Trajectory:
     ``loop_nodes``, the nodes after node 0 solved in leaves and by the step
     loop; ``sweeps``, the leaf sweeps in all (one right-hand side call
     each); ``max_sweeps``, the most in one leaf; ``rejected_leaves``, the
-    leaves handed to the step loop.
+    leaves handed to the step loop; ``inverses_built``, the leaf inverses G
+    built by Newton doubling rather than found in the cache.
     """
 
     grid: np.ndarray
@@ -210,11 +225,14 @@ class OperatorComparison(NamedTuple):
 def _lag_weights(mu: float, size: int) -> tuple:
     """Unscaled product-trapezoid weights of the power-law kernel, lags 0..size.
 
-    Returns ``(w, end)``: ``w[m]`` weights f(t_{n-m}) in the history sum
-    of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0 term adds on
-    top of ``w[n]`` to make the end weight.  Both are read-only; the last
-    pair is kept, since a stability probe solves one (mu, size) four times
-    and an operator comparison twice.
+    Returns ``(w, end, spectra)``: ``w[m]`` weights f(t_{n-m}) in the
+    history sum of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0
+    term adds on top of ``w[n]`` to make the end weight.  Both are
+    read-only.  ``spectra`` starts empty; :func:`solve` keeps in it the
+    ``rfft`` of ``w[1:2P]`` for each FFT piece length P it uses.  The last
+    triple is kept, since a stability probe solves one (mu, size) four
+    times and an operator comparison twice; for the longest runs the
+    spectra hold about as much memory as ``w`` and ``end``.
 
     With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
     p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
@@ -256,7 +274,31 @@ def _lag_weights(mu: float, size: int) -> tuple:
         w[_SERIES_LAG:] = 2.0 * scale * even
         end[_SERIES_LAG:] = -scale * (even + x * odd)
     w.flags.writeable = end.flags.writeable = False
-    return w, end
+    return w, end, {}
+
+
+@functools.lru_cache(maxsize=32)
+def _leaf_inverse(a_col: bytes, rho: float, with_ga: bool) -> tuple:
+    """First columns g of G = (I - rho A)^-1 and ga of GA (empty unless ``with_ga``).
+
+    ``a_col`` holds the bytes of A's first column, which carry the scheme:
+    mu, c_hist, diag and the leaf size.  g is the power series
+    1 / (1 - rho sum_m a_col[m] x^m), found by Newton doubling.  Both are
+    read-only, since the solves of one scheme share them.
+    """
+    a_col = np.frombuffer(a_col)
+    size = len(a_col)
+    b = -rho * a_col
+    b[0] += 1.0
+    g = np.array([1.0 / b[0]])
+    while len(g) < size:  # b g = 1 + e x^len(g) + ...
+        m = min(2 * len(g), size)
+        e = np.convolve(b[:m], g)[len(g):m]
+        g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
+    # lam = 0 leaves need no GA
+    ga = np.convolve(g, a_col)[:size] if with_ga else g[:0]
+    g.flags.writeable = ga.flags.writeable = False
+    return g, ga
 
 
 # Overflow in the history sums, or a singular leaf matrix, shows as a
@@ -308,13 +350,13 @@ def solve(
     c_hist = c_quad * (h ** e / (e * (e + 1.0)))
     diag = c_point + c_hist
     f_hist = np.zeros(n_steps + 1)
-    stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0)
+    stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0,
+                 inverses_built=0)
     if not cfc:
         # far[n]: history of node n from nodes before its 8-node sub-block
         # (before its leaf, in a leaf), plus the j = 0 end correction; nodes
         # in the sub-block are summed per step, nodes in the leaf by A.
-        w, end = _lag_weights(mu, max(n_steps + 1, _BLOCK))
-        spectra = {}  # rfft of w[1:2P], by piece length P
+        w, end, spectra = _lag_weights(mu, max(n_steps + 1, _BLOCK))
         near_w, tiles = [], {}  # the step loop's, built when it first runs
 
         def add_far(n: int) -> None:
@@ -349,22 +391,15 @@ def solve(
         a_col = c_hist * w[:size]
         a_col[0] = diag
         a_sum = np.cumsum(a_col)  # A times (1, 1, 1, ...)
+        a_key = a_col.tobytes()  # the scheme, for the inverses' cache
+        rung = _RHO_MOVE / a_sum[-1]  # a_sum[-1] = ||A||_1
 
         def build(rho: float) -> tuple:
-            """rho and the first columns g of G = (I - rho A)^-1 and ga of GA.
-
-            g is the power series 1 / (1 - rho sum_m a_col[m] x^m), found by
-            Newton doubling.
-            """
-            b = -rho * a_col
-            b[0] += 1.0
-            g = np.array([1.0 / b[0]])
-            while len(g) < size:  # b g = 1 + e x^len(g) + ...
-                m = min(2 * len(g), size)
-                e = np.convolve(b[:m], g)[len(g):m]
-                g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
-            # lam = 0 leaves need no GA
-            return rho, g, np.convolve(g, a_col)[:size] if lam else None
+            """rho and the first columns of G and GA at rho, counting the builds."""
+            built = _leaf_inverse.cache_info().misses
+            g, ga = _leaf_inverse(a_key, rho, bool(lam))
+            stats["inverses_built"] += _leaf_inverse.cache_info().misses - built
+            return rho, g, ga
 
         def leaf(s: int, stop: int) -> bool:
             """Solve nodes s .. stop-1 in sweeps; False if the leaf is rejected.
@@ -373,9 +408,10 @@ def solve(
             with the Jacobian of f replaced by rho I, summed as v + GA (f(z)
             + rho (v - z)), since G = I + rho GA.  rho is the mean slope of f
             along a uniform shift of the leaf's first iterate; G is rebuilt
-            when rho moves.  The first iterate G (v + q A 1) holds f - rho z
-            at q, its value at the last node.  At lam = 0, f - rho z is the
-            forcing, so the first iterate is the solution: the leaf's one
+            when rho moves, on the rung nearest rho unless the slopes cluster
+            within half a rung.  The first iterate G (v + q A 1) holds
+            f - rho z at q, its value at the last node.  At lam = 0, f - rho z
+            is the forcing, so the first iterate is the solution: the leaf's one
             sweep only evaluates f there.
             A leaf is rejected when its sweeps stop contracting, or their rate
             would need more than _SWEEPS.
@@ -412,8 +448,10 @@ def solve(
                         # pass the stop test
                         slopes = r * (1.0 - (zd + shift * zl) / k)
                         mean = slopes.mean()
-                        if abs(mean - rho) > max(_RHO_MOVE / np.abs(ga).sum(),
-                                                 np.abs(slopes - mean).max()):
+                        spread = np.abs(slopes - mean).max()
+                        if abs(mean - rho) > max(_RHO_MOVE / np.abs(ga).sum(), spread):
+                            if spread > 0.5 * rung:  # the rung slows sweeps little
+                                mean = np.rint(mean / rung) * rung
                             lin = rho, g, ga = build(mean)
                     # four times the rounding error of the two sums
                     tol = 4.0 * _EPS * np.convolve(np.abs(g[:cnt]), np.abs(vq))[:cnt]
@@ -514,7 +552,11 @@ def solve(
             if not math.isfinite(zn):
                 raise SolverError(f"non-finite state at step {n}", step=n)
             if zn <= 0.0:
-                raise SolverError(f"non-positive state {zn:.6g} at step {n}", step=n)
+                # z0 plus a history whose terms reach the largest state, z_max,
+                # resolves no z below a few eps z_max
+                floor = (", within 4 eps z_max of 0: the integral form's rounding floor"
+                         if -zn <= 4.0 * _EPS * max(z0, z[:n].max(initial=0.0)) else "")
+                raise SolverError(f"non-positive state {zn:.6g} at step {n}{floor}", step=n)
             fn = logistic_rhs(p, zn, a + b * zn, forcing)
             zs[n] = zn
             fs[n] = fn

@@ -49,6 +49,13 @@ class TestClassicalCommand:
         assert all(b > a for a, b in zip(zs, zs[1:]))
         assert abs(zs[-1] - 100.0) < 1e-6 * 100.0
 
+    def test_initial_value_far_above_capacity(self, capsys):
+        # z0 + (k - z0) rounds to 0 at z0 = 1e300; z(10) = k / (1 - e^-1)
+        code, out, _ = run_cli(capsys, "classical", "--z0", "1e300", "--points", "5")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,1e+300", "2.5,452.081166419", "5,254.149408254",
+                                        "7.5,189.52551344", "10,158.197670687"]
+
 
 class TestMlEvalCommand:
     def test_values_match_library(self, capsys):
@@ -432,6 +439,27 @@ class TestExitCodes:
                                "--t-end", "10", "--points", "3")
         assert code == 3
         assert "diverges" in err
+
+    @pytest.mark.parametrize("argv, step", [
+        # z = 10 exp(-9 t) is about 2e-15 at step 83, below what z0 plus a
+        # history of nearly its size resolves; the root there rounds to <= 0
+        (("--lambda", "0", "--r", "-10", "--h", "0.05", "--t-end", "5"), 83),
+        # z overshoots to 6183 and crashes towards 0, where the root is -2.8e-13
+        (("--lambda", "0.25", "--r", "5", "--t-end", "6"), 460),
+    ])
+    def test_rounding_floor_is_named(self, capsys, argv, step):
+        code, out, err = run_cli(capsys, "solve", "--operator", "abc", "--mu", "1", *argv)
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(rf"error: non-positive state \S+ at step {step}, within 4 eps "
+                            r"z_max of 0: the integral form's rounding floor\n", err)
+
+    def test_failure_far_from_the_rounding_floor(self, capsys):
+        # a root far below 0 is a failure of the scheme, not of rounding
+        code, _, err = run_cli(capsys, "solve", "--operator", "caputo", "--mu", "0.5",
+                               "--lambda", "0.5", "--r", "4", "--h", "0.25", "--t-end", "5")
+        assert code == 3
+        assert err == "error: non-positive state -26.6347 at step 1\n"
 
     def test_series_failure_exit(self, capsys):
         code, _, err = run_cli(capsys, "ml-eval", "--mu", "0.002", "--from", "1",

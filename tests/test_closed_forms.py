@@ -68,6 +68,19 @@ class TestClassical:
             with pytest.raises(SingularParameterError, match=f"t\\* = {math.log(3.0):.12g}"):
                 classical_exact(p, t)
 
+    def test_initial_value_far_above_capacity_decays_to_k(self):
+        # k is below half an ulp of z0, so z0 + (k - z0) e^{-r t} rounds to 0 at
+        # t = 0; z = k / (1 - e^{-r t} + (k/z0) e^{-r t}) starts at z0 and decays
+        p = ModelParams(r=0.1, k=100.0, z0=1e300, mu=1.0, lam=1.0)
+        ts = np.array([0.0, 1.0, 10.0, 400.0])
+        z = classical_exact(p, ts)
+        assert z[0] == p.z0
+        np.testing.assert_allclose(z[1:], p.k / -np.expm1(-p.r * ts[1:]), rtol=1e-14)
+        assert z[-1] == p.k
+        # r < 0 still blows up, at t* = ln(z0/(z0 - k))/(-r) ~ (k/z0)/(-r)
+        with pytest.raises(SingularParameterError, match="t\\* = 1e-297"):
+            classical_exact(ModelParams(r=-0.1, k=100.0, z0=1e300, mu=1.0), ts)
+
     @pytest.mark.parametrize("r", [1.0, -0.5])
     def test_grid_matches_points(self, r):
         # r = -0.5 decays, and e^{-r t} overflows past t = 1419

@@ -27,6 +27,7 @@ from fraclogistic.solvers import (
     _LEAF,
     _MAX_STEPS,
     _lag_weights,
+    _leaf_inverse,
 )
 
 
@@ -261,7 +262,7 @@ class TestBasicBehaviour:
         cfg = SolveConfig(operator="abc", t_end=3.0, h=0.01)
         traj = solve(p, cfg)
         assert traj.stats["leaf_nodes"] == 300
-        w, end = _lag_weights(p.mu, 301)
+        w, end, _ = _lag_weights(p.mu, 301)
         c_hist = p.mu / math.gamma(p.mu) * (cfg.h ** p.mu / (p.mu * (p.mu + 1.0)))
         with mpmath.workdps(40):
             r, k, z0 = (mpmath.mpf(x) for x in (p.r, p.k, p.z0))
@@ -438,6 +439,69 @@ class TestReferenceEquivalence:
         assert max_rel(got, ref) <= 1e-10
 
 
+class TestLeafInverses:
+    """G and GA come from a cache keyed by the scheme and rho: it must not change results."""
+
+    FORCINGS = (0.0, 1e-4, 1e-3, 1e-2)  # the default stability probe's order
+
+    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    def test_results_do_not_depend_on_the_cache(self, operator):
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=0.5)
+        cfg = SolveConfig(operator=operator, t_end=10.0, h=0.01)
+
+        def run(forcings, clear):
+            out = {}
+            for forcing in forcings:
+                if clear:
+                    _leaf_inverse.cache_clear()
+                out[forcing] = solve(p, cfg, forcing=forcing).values.tobytes()
+            return out
+
+        alone = run(self.FORCINGS, clear=True)
+        # solves of the same scheme at other slopes, some on the probe's rungs
+        # or next to them, and of another scheme evict the probe's inverses
+        # and fill the cache with their own
+        misses = _leaf_inverse.cache_info().misses
+        for r in (*np.linspace(-0.6, 0.6, 13), *np.linspace(0.09, 0.11, 11)):
+            for h in (0.01, 0.02):
+                solve(replace(p, r=float(r)), replace(cfg, t_end=3.0, h=h), forcing=1e-3)
+        assert _leaf_inverse.cache_info().misses - misses > _leaf_inverse.cache_info().maxsize
+        assert run(self.FORCINGS, clear=False) == alone
+        assert run(self.FORCINGS[::-1], clear=False) == alone
+
+    @pytest.mark.parametrize("operator, lam, parent_builds",
+                             [("abc", 1.0, 20), ("caputo", 1.0, 20), ("abc", 0.0, 4)])
+    def test_probe_solves_share_inverses(self, operator, lam, parent_builds):
+        # the default stability command's four solves, in the probe's order;
+        # each solve built its own G before the cache: once per run and once
+        # in every lam > 0 leaf (parent_builds, counted at that version)
+        _leaf_inverse.cache_clear()
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=lam)
+        cfg = SolveConfig(operator=operator, t_end=10.0, h=0.01)
+        built = sum(solve(p, cfg, forcing=forcing).stats["inverses_built"]
+                    for forcing in self.FORCINGS)
+        assert built <= parent_builds // 2
+        assert built == _leaf_inverse.cache_info().misses
+
+    @pytest.mark.parametrize("operator, r, lam, outcome", [
+        # the first iterate's mean slope is -1e305, which is beyond the
+        # rungs' range, and -inf
+        ("caputo", 44.1, 0.25, "non-positive state -16.8747 at step 7"),
+        ("caputo", 44.2, 0.25, "non-positive state -16.6418 at step 7"),
+        # the first iterate overflows, so the mean slope is nan, in both leaves
+        ("abc", 50.0, 1.0, None),
+    ])
+    def test_unbounded_slopes_go_to_the_loop(self, operator, r, lam, outcome):
+        p = ModelParams(r=r, k=100.0, z0=10.0, mu=1.0, lam=lam)
+        cfg = SolveConfig(operator=operator, t_end=12.8, h=0.05)
+        if outcome:
+            with pytest.raises(SolverError, match=f"^{outcome}$"):
+                solve(p, cfg)
+        else:
+            stats = solve(p, cfg).stats
+            assert stats["rejected_leaves"] == 2 and stats["loop_nodes"] == 256
+
+
 class TestLagWeights:
     # every lag below 300 (both sides of the switch from quadrature to the
     # 1/m series), then decades up to the largest step count
@@ -445,14 +509,14 @@ class TestLagWeights:
 
     @pytest.mark.parametrize("mu", [0.3, 0.9])
     def test_against_extended_precision(self, mu):
-        w, end = _lag_weights(mu, _MAX_STEPS)
+        w, end, _ = _lag_weights(mu, _MAX_STEPS)
         ref_w, ref_end = exact_lag_weights(mu, self.LAGS)
         assert w[0] == 0.0 and end[0] == 0.0
         np.testing.assert_allclose(w[self.LAGS], ref_w, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(end[self.LAGS], ref_end, rtol=1e-14, atol=0.0)
 
     def test_last_weights_are_shared_read_only(self):
-        w, end = _lag_weights(0.45, 300)
+        w, end, _ = _lag_weights(0.45, 300)
         assert _lag_weights(0.45, 300)[0] is w
         with pytest.raises(ValueError, match="read-only"):
             w[1] = 0.0
@@ -466,7 +530,7 @@ class TestLagWeights:
 
     @pytest.mark.parametrize("size", [1, 2, 63, 64, 65])
     def test_short_runs(self, size):
-        w, end = _lag_weights(0.7, size)
+        w, end, _ = _lag_weights(0.7, size)
         assert len(w) == len(end) == size + 1
         ref_w, ref_end = exact_lag_weights(0.7, range(1, size + 1))
         np.testing.assert_allclose(w[1:], ref_w, rtol=1e-14, atol=0.0)
