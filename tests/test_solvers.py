@@ -469,18 +469,18 @@ class TestLeafInverses:
         assert run(self.FORCINGS, clear=False) == alone
         assert run(self.FORCINGS[::-1], clear=False) == alone
 
-    @pytest.mark.parametrize("operator, lam, parent_builds",
+    @pytest.mark.parametrize("operator, lam, uncached_builds",
                              [("abc", 1.0, 20), ("caputo", 1.0, 20), ("abc", 0.0, 4)])
-    def test_probe_solves_share_inverses(self, operator, lam, parent_builds):
-        # the default stability command's four solves, in the probe's order;
-        # each solve built its own G before the cache: once per run and once
-        # in every lam > 0 leaf (parent_builds, counted at that version)
+    def test_probe_solves_share_inverses(self, operator, lam, uncached_builds):
+        # the default stability command's four solves, in the probe's order.
+        # Before G was cached each solve built its own, once per run and once
+        # in every lam > 0 leaf: uncached_builds, counted on that solver
         _leaf_inverse.cache_clear()
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=lam)
         cfg = SolveConfig(operator=operator, t_end=10.0, h=0.01)
         built = sum(solve(p, cfg, forcing=forcing).stats["inverses_built"]
                     for forcing in self.FORCINGS)
-        assert built <= parent_builds // 2
+        assert built <= uncached_builds // 2
         assert built == _leaf_inverse.cache_info().misses
 
     @pytest.mark.parametrize("operator, r, lam, outcome", [
@@ -516,8 +516,9 @@ class TestLagWeights:
         np.testing.assert_allclose(end[self.LAGS], ref_end, rtol=1e-14, atol=0.0)
 
     def test_last_weights_are_shared_read_only(self):
-        w, end, _ = _lag_weights(0.45, 300)
+        w, end, spectra = _lag_weights(0.45, 300)
         assert _lag_weights(0.45, 300)[0] is w
+        assert _lag_weights(0.45, 300)[2] is spectra
         with pytest.raises(ValueError, match="read-only"):
             w[1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
