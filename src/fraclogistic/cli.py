@@ -124,6 +124,13 @@ _SWEEPS = {"mu": ((0.1, 0.9, 0.1), "(0, 1]", lambda v: 0.0 < v <= 1.0),
 # Most values one sweep may take; the default sweeps take 9 and 10.
 _MAX_SWEEP = 10_000
 
+# An hsv or surface value fails where its last term x_n exceeds both
+# _TAIL_RATIO and _TAIL_RATE**n of it: its terms then shrink too slowly to
+# trust, and at a rate near 1 the series has left its radius.  The default
+# sweeps reach a ratio of 1.4e-6; n = 1 series, which no ratio of 1e-4 admits,
+# reach a rate of 0.41 on [0, 10] at the default r.
+_TAIL_RATIO, _TAIL_RATE = 1e-4, 0.75
+
 # Rows formatted per write: lists of every value at once would raise peak memory.
 _BLOCK = 4096
 # Most rows one command may write: a million take about 1 s to format.
@@ -161,39 +168,60 @@ def _sweep_values(ns, axis: str) -> list:
     return values
 
 
-def _curves(ns, params, curve) -> tuple:
-    """Header and row blocks of ``curve(params, ts)`` on the output grid.
+def _curves(ns, params, curves) -> tuple:
+    """Header and row blocks of ``curves(sets, ts)`` on the output grid.
 
-    Without ``--vary`` one block t, z; with it, one block t, value, z per
-    swept value, in sweep order.
+    ``curves`` gives one z per parameter set.  Without ``--vary`` one block
+    t, z; with it, one block t, value, z per swept value, in sweep order.
     """
     if ns.vary is None:
         ts = _grid(ns)
-        return "t,z", [[ts, curve(params, ts)]]
+        return "t,z", [[ts, *curves([params], ts)]]
     field = "mu" if ns.vary == "mu" else "lam"
     values = _sweep_values(ns, ns.vary)
     ts = _grid(ns, len(values))
-    return f"t,{ns.vary},z", [[ts, v, curve(dataclasses.replace(params, **{field: v}), ts)]
-                              for v in values]
+    zs = curves([dataclasses.replace(params, **{field: v}) for v in values], ts)
+    return f"t,{ns.vary},z", [[ts, v, z] for v, z in zip(values, zs)]
 
 
-def _series(ns, params, n_terms, built):
-    """The HSV series; ``--mode square`` drops the delay, taking lam = 1.
+def _each(curve):
+    """A ``curves`` argument of :func:`_curves` that calls ``curve(params, ts)`` per set."""
+    return lambda sets, ts: [curve(p, ts) for p in sets]
 
-    ``built`` maps the series' parameters to the series, so one command
-    builds each distinct series once.
+
+def _undelayed(ns, params):
+    """``--mode square`` drops the delay, taking lam = 1."""
+    if ns.mode != "square":
+        return params
+    _refuse(ns, ("--lambda",), "with --mode square")
+    return dataclasses.replace(params, lam=1.0)
+
+
+def _hsv_curves(ns, sets, ts) -> np.ndarray:
+    """The HSV series of each set at the times ``ts``, shape ``(len(sets), len(ts))``.
+
+    One stack holds each distinct series once.  Raises ConvergenceError at
+    the first set and t, in sweep order, past the ``_TAIL_RATIO`` and
+    ``_TAIL_RATE`` bound.
     """
-    if ns.mode == "square":
-        _refuse(ns, ("--lambda",), "with --mode square")
-        params = dataclasses.replace(params, lam=1.0)
-    if params not in built:
-        built[params] = hsv_iterate(params, n_terms)
-    return built[params]
+    series = [_undelayed(ns, p) for p in sets]
+    row = {p: i for i, p in enumerate(dict.fromkeys(series))}
+    out = hsv_evaluate(hsv_iterate(list(row), ns.n_terms), ts)
+    value, last = (x[[row[p] for p in series]] for x in out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = last / np.abs(value)
+    past = np.argwhere(~(ratio <= max(_TAIL_RATIO, _TAIL_RATE ** ns.n_terms)))
+    if len(past):
+        i, j = past[0]
+        raise ConvergenceError(f"series has not converged at t = {ts[j]}, mu = {sets[i].mu}, "
+                               f"lambda = {sets[i].lam}: its last term is {ratio[i, j]:.3g} "
+                               f"of |z| = {abs(value[i, j]):.6g}", ratio=ratio[i, j])
+    return value
 
 
 def _cmd_classical(ns, params):
     """classical logistic closed form"""
-    return _curves(ns, params, classical_exact)
+    return _curves(ns, params, _each(classical_exact))
 
 
 def _cmd_ml_eval(ns, params):
@@ -210,19 +238,17 @@ def _cmd_exact_lambda0(ns, params):
     """lam = 0 fractional closed form"""
     if ns.vary is None:
         _refuse(ns, ("--from", "--to", "--step"), "without --vary")
-    return _curves(ns, params, abc_exact_lambda0)
+    return _curves(ns, params, _each(abc_exact_lambda0))
 
 
 def _cmd_hsv(ns, params):
     """truncated HSV series values"""
-    built = {}
-    return _curves(ns, params, lambda params, ts: hsv_evaluate(
-        _series(ns, params, ns.n_terms, built), ts).value)
+    return _curves(ns, params, lambda sets, ts: _hsv_curves(ns, sets, ts))
 
 
 def _cmd_closed_form(ns, params):
     """geometric closed-form surrogate"""
-    return _curves(ns, params, lambda params, ts: geometric_closed_form(params, ts).value)
+    return _curves(ns, params, _each(lambda p, ts: geometric_closed_form(p, ts).value))
 
 
 def _cmd_solve(ns, params):
@@ -251,17 +277,15 @@ def _cmd_surface(ns, params):
     # both axes take their default sweeps, whatever a config file holds
     ns.sweep_from = ns.sweep_to = ns.sweep_step = None
     mus, lams = _sweep_values(ns, "mu"), _sweep_values(ns, "lambda")
-    built = {}
-    zs = [[hsv_evaluate(_series(ns, dataclasses.replace(params, mu=mu, lam=lam),
-                                ns.n_terms, built), ns.at_t).value for lam in lams]
-          for mu in mus]
+    zs = _hsv_curves(ns, [dataclasses.replace(params, mu=mu, lam=lam) for mu in mus
+                          for lam in lams], np.array([ns.at_t])).reshape(len(mus), -1)
     return "mu,lambda,z", [[mu, lams, z] for mu, z in zip(mus, zs)]
 
 
 def _cmd_convergence(ns, params):
     """series truncation behaviour (--n-max)"""
     ts = _grid(ns, ns.n_max)
-    values = _series(ns, params, ns.n_max, {}).term_values(ts)
+    values = hsv_iterate(_undelayed(ns, params), ns.n_max).term_values(ts)
     # x_0 = z0 > 0, so these running sums equal sum() from 0 bit for bit
     with np.errstate(over="ignore", invalid="ignore"):
         partials = np.cumsum(values, axis=0)

@@ -21,13 +21,15 @@ Every term lives on the lattice t^(k*mu), and x_i has i + 1 coefficients,
 so the iteration runs on one square coefficient matrix whose row i holds
 x_i.  A step forms only the polynomial P_n it needs, as a sum of n + 1
 vectorised Cauchy products, and applies the transform pair and kernel
-elementwise; a run of n steps costs O(n^3) flops in O(n^2) numpy calls.
-The operations are those of the series functions in
-:mod:`fraclogistic.series` and :mod:`fraclogistic.adomian`, in the same
-order, so the coefficients agree with them bit for bit.
+elementwise.  A sweep's parameter sets go through as one stack of such
+matrices, so a run of n steps costs O(n^3) flops a set in O(n^2) numpy
+calls a stack, not a set.  The operations are those of the series
+functions in :mod:`fraclogistic.series` and :mod:`fraclogistic.adomian`,
+in the same order, so the coefficients agree with them bit for bit, in a
+stack or alone.
 
-The solution keeps that matrix and evaluates a whole time grid at once by
-Horner's rule in t^mu over its columns; the truncated solution adds the
+The solution keeps the matrices and evaluates a whole time grid at once by
+Horner's rule in t^mu over their columns; the truncated solution adds the
 terms in ascending order, so values match term-by-term evaluation with
 :func:`fraclogistic.series.eval_series` bit for bit.  A separate
 geometric closed form sums the crude surrogate in which every term is
@@ -83,8 +85,15 @@ __all__ = [
 HSV_SOLVER_AGREEMENT_RTOL = 0.05
 
 # Largest truncation order: the cost grows as n^3 and 200 steps take about
-# a second; far beyond that the coefficients underflow to zero.
+# 0.6 s a set (2-vCPU Xeon); far beyond that the coefficients underflow to zero.
 _MAX_TERMS = 200
+
+# Most cells one chunk of a stack works on: a set takes (n+1)^2 while it is
+# built and (n+1) a time while it is evaluated.  Unchunked, the 1001 sets of
+# `surface --vary lambda --step 0.001 --n-terms 60` peaked at 171 MB instead
+# of 61 MB and took 14 s instead of 6, and 10 sets at n = 200 built 10-15 %
+# slower; under this budget n = 200 builds one set at a time.
+_CELLS = 1 << 16
 
 
 class HsvEvaluation(NamedTuple):
@@ -103,104 +112,159 @@ class GeometricForm(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HsvSolution:
-    """Terms x_0 .. x_n of :func:`hsv_iterate` as one coefficient matrix.
+    """Terms x_0 .. x_n of :func:`hsv_iterate`, for one parameter set or a stack.
 
-    Row i of the read-only ``(n+1) x (n+1)`` ``coeffs`` holds x_i's
-    coefficients on the lattice t^(k*mu); entries past column i are zero.
+    For one set, ``params`` is its :class:`ModelParams` and row i of the
+    read-only ``(n+1) x (n+1)`` ``coeffs`` holds x_i's coefficients on the
+    lattice t^(k*mu); entries past column i are zero.  For a stack of P
+    sets, ``params`` is the tuple of sets, ``coeffs`` holds one such matrix
+    per set along a leading axis, ``(P, n+1, n+1)``, and every result gains
+    that leading set axis.
     """
 
-    params: ModelParams
+    params: ModelParams | tuple
     coeffs: np.ndarray
+
+    def _stack(self) -> tuple:
+        """The sets and their ``(P, n+1, n+1)`` coefficients, for one set too."""
+        single = self.coeffs.ndim == 2
+        return ((self.params,), self.coeffs[None]) if single else (self.params, self.coeffs)
+
+    def _unstack(self, stacked: np.ndarray) -> np.ndarray:
+        """A result with a set axis, without it for a single-set solution."""
+        return stacked[0] if self.coeffs.ndim == 2 else stacked
 
     @property
     def truncation(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     @property
     def terms(self) -> tuple:
-        """The terms x_0 .. x_n as :class:`FracSeries`, built on each access."""
-        mu = self.params.mu
-        return tuple(FracSeries(mu, row[:i + 1]) for i, row in enumerate(self.coeffs))
+        """Every set's terms x_0 .. x_n as :class:`FracSeries`, in set order.
+
+        They are built on each access.
+        """
+        sets, coeffs = self._stack()
+        return tuple(FracSeries(p.mu, row[:i + 1])
+                     for p, c in zip(sets, coeffs) for i, row in enumerate(c))
 
     def term_values(self, t) -> np.ndarray:
         """Evaluate every term at ``t``: index i holds x_i(t).
 
         ``t`` is a time or a 1-d array of times, giving shape ``(n+1,)`` or
-        ``(n+1, len(t))``.  Every t must be finite and >= 0.  Values that
+        ``(n+1, len(t))``, after the set axis of a stack.  Each set takes
+        its own ``t**mu``.  Every t must be finite and >= 0.  Values that
         overflow come back as inf or nan, without a warning.
         """
-        flat, x = time_powers(t, self.params.mu)  # libm pow, as eval_series
-        acc = np.zeros((len(self.coeffs), len(x)))
+        sets, coeffs = self._stack()
+        flat, x = zip(*(time_powers(t, p.mu) for p in sets))  # libm pow, as eval_series
+        x = np.stack(x)[:, None]
+        acc = np.zeros((*coeffs.shape[:2], x.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            for column in self.coeffs.T[::-1]:
-                acc = acc * x + column[:, None]
-        acc[:, flat == 0.0] = self.coeffs[:, :1]  # as eval_series, zero signs too
-        return acc if np.ndim(t) else acc[:, 0]
+            for column in coeffs.transpose(2, 0, 1)[::-1]:
+                acc = acc * x + column[..., None]
+        acc[..., flat[0] == 0.0] = coeffs[..., :1]  # as eval_series, zero signs too
+        return self._unstack(acc if np.ndim(t) else acc[..., 0])
 
 
-def hsv_iterate(params: ModelParams, n_terms: int) -> HsvSolution:
-    """Generate the terms x_0 .. x_{n_terms}.
+def _chunks(count: int, cells: int) -> list:
+    """Slices of ``count`` sets holding at most ``_CELLS`` cells at ``cells`` a set.
 
-    Row i of an (n+1) x (n+1) matrix ``c`` holds the coefficients of x_i.
+    Every slice holds one set at least.
+    """
+    step = max(1, _CELLS // max(1, cells))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def hsv_iterate(params, n_terms: int) -> HsvSolution:
+    """Generate the terms x_0 .. x_{n_terms} of one parameter set or a stack.
+
+    ``params`` is a :class:`ModelParams`, or a sequence of them for a
+    stacked solution.  Row i of an (n+1) x (n+1) matrix ``c`` holds the
+    coefficients of x_i; a stack steps one ``(P, n+1, n+1)`` tensor, with a
+    Gamma table and delay factors per set, in chunks of at most
+    ``_CELLS // (n+1)**2`` sets (one at least).  Every operation acts on
+    each set alone, in the order a single set takes, so a set's
+    coefficients do not depend on the stack around it, bit for bit.
+
     Step n builds only ``P_n``: row p of ``prod`` collects the Cauchy
     product of x_p with the delayed x_{n-p}, and the rows are summed in
     ascending p.  ``n_terms`` may be at most 200, and ``Gamma(n_terms*mu +
     1)`` must be finite (n_terms * mu below about 170); otherwise, or when
-    a coefficient overflows, ``ValueError`` is raised.
+    a coefficient overflows, ``ValueError`` is raised for the first set, in
+    stack order, that fails.
     """
     if not isinstance(n_terms, int) or n_terms < 1:
         raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
     if n_terms > _MAX_TERMS:
         raise ValueError(f"n_terms must be at most {_MAX_TERMS}, got {n_terms}")
-    p = params
-    mu = p.mu
-    try:
-        g = np.array([gamma_fn(k * mu + 1.0) for k in range(n_terms + 1)])
-    except OverflowError:
-        raise ValueError(
-            f"Gamma(n_terms*mu + 1) overflows for n_terms = {n_terms}, mu = {mu}; "
-            "n_terms*mu must stay below about 170"
-        ) from None
-    c = np.zeros((n_terms + 1, n_terms + 1))
-    c[0, 0] = p.z0
-    delay = np.array([p.lam ** (k * mu) for k in range(n_terms + 1)])
-    s = np.zeros_like(c)  # row i holds the delayed x_i
-    s[0] = c[0] * delay
-    factor = p.r / p.b_norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_terms):
-            m = n + 1
-            prod = np.zeros((m, m))
-            for i in range(m):
-                prod[:, i:] += c[:m, i:i + 1] * s[n::-1, :m - i]
-            poly = prod.sum(axis=0)
-            d = c[n, :m] * g[:m] + (-1.0 / p.k) * (poly * g[:m])
-            # accumulated from zeros in kernel_multiply's order, signed zeros too
-            e = np.zeros(m + 1)
-            e[1:] += mu * d
-            e[:-1] += (1.0 - mu) * d
-            c[n + 1, :m + 1] = factor * e / g[:m + 1]
-            if not np.isfinite(c[n + 1]).all():
-                raise ValueError(f"term x_{n + 1} has non-finite coefficients")
-            if p.lam:  # at lam = 0 only the datum x_0 is fed back
-                s[n + 1] = c[n + 1] * delay
+    single = isinstance(params, ModelParams)
+    sets = (params,) if single else tuple(params)
+    if not sets:
+        raise ValueError("params must hold at least one parameter set")
+    size = n_terms + 1
+    g, delay, overflow = [], [], None
+    for p in sets:  # arrays, not lists of floats: 1001 sets at n = 60 would hold 4 MB
+        try:
+            g.append(np.fromiter((gamma_fn(k * p.mu + 1.0) for k in range(size)), float, size))
+        except OverflowError:  # raised once the sets before it are built
+            overflow = (f"Gamma(n_terms*mu + 1) overflows for n_terms = {n_terms}, "
+                        f"mu = {p.mu}; n_terms*mu must stay below about 170")
+            break
+        delay.append(np.fromiter((p.lam ** (k * p.mu) for k in range(size)), float, size))
+    g, delay = np.reshape(g, (-1, size)), np.reshape(delay, (-1, size))
+    c = np.zeros((len(g), size, size))
+    for part in _chunks(len(g), size * size):
+        cs, gs, ds = c[part], g[part], delay[part]
+        z0, mu, factor, neg_k, lam = np.array([(p.z0, p.mu, p.r / p.b_norm, -1.0 / p.k, p.lam)
+                                               for p in sets[:len(g)][part]]).T[..., None]
+        cs[:, 0, :1] = z0
+        s = np.zeros_like(cs)  # row i holds the delayed x_i
+        s[:, 0] = cs[:, 0] * ds
+        ds *= lam != 0.0  # at lam = 0 only the datum x_0 is fed back
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, size):  # step n = m - 1 builds x_m
+                prod = np.zeros((len(cs), m, m))
+                for i in range(m):  # a leading ... indexes faster than a leading :
+                    prod[..., i:] += cs[..., :m, i:i + 1] * s[..., m - 1::-1, :m - i]
+                poly = prod.sum(axis=1)
+                d = cs[:, m - 1, :m] * gs[:, :m] + neg_k * (poly * gs[:, :m])
+                # accumulated from zeros in kernel_multiply's order, signed zeros too
+                e = np.zeros((len(cs), m + 1))
+                e[:, 1:] += mu * d
+                e[:, :-1] += (1.0 - mu) * d
+                cs[:, m, :m + 1] = factor * e / gs[:, :m + 1]
+                if not np.isfinite(cs[0, m]).all():
+                    break  # the chunk's first set fails, and no set before it
+                s[:, m] = cs[:, m] * ds
+        failed = ~np.isfinite(cs).all(axis=2)  # per set and term
+        if failed.any():
+            first = failed[failed.any(axis=1)][0].argmax()
+            raise ValueError(f"term x_{first} has non-finite coefficients")
+    if overflow:
+        raise ValueError(overflow)
     c.flags.writeable = False
-    return HsvSolution(params=p, coeffs=c)
+    return HsvSolution(params=params if single else sets, coeffs=c[0] if single else c)
 
 
 def hsv_evaluate(sol: HsvSolution, t) -> HsvEvaluation:
     """Partial sum of the terms at ``t``, with a truncation-error proxy.
 
     ``t`` is a time or a 1-d array of times, as for
-    :meth:`HsvSolution.term_values`; both fields then have its shape.
+    :meth:`HsvSolution.term_values`; both fields then have its shape, after
+    the set axis of a stack.  A stack is evaluated in chunks of at most
+    ``_CELLS`` term values, so memory does not grow with the set count.
     The reported value is the full partial sum.  For mu < 1 the correction
     terms contribute constant parts (1 - mu) * (...), so the value at
     t = 0 deliberately differs from z0: this mirrors the initial jump of
     the nonlocal operator's integral form rather than hiding it.
     """
-    values = sol.term_values(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return HsvEvaluation(value=sum(values), last_term=abs(values[-1]))
+    sets, coeffs = sol._stack()
+    chunks = (HsvSolution(sets[part], coeffs[part]).term_values(t)  # one at a time
+              for part in _chunks(len(sets), coeffs.shape[1] * np.size(t)))
+    with np.errstate(over="ignore", invalid="ignore"):  # terms in ascending order, from 0
+        value, last = zip(*[(sum(v.swapaxes(0, 1)), abs(v[:, -1])) for v in chunks])
+    return HsvEvaluation(*(sol._unstack(np.concatenate(x)) for x in (value, last)))
 
 
 def psi_kernel(params: ModelParams, t):
@@ -238,10 +302,12 @@ def geometric_closed_form(params: ModelParams, t) -> GeometricForm:
 def geometric_gap(sol: HsvSolution, t):
     """Absolute difference between the partial sum and the geometric form.
 
-    ``t`` is a time or a 1-d array of times, giving a float or an array.
+    ``t`` is a time or a 1-d array of times, giving a float or an array,
+    after the set axis of a stack.
 
     Quantifies, at runtime, how far the exact kernel powers drift from
     the pure ``q^i`` surrogate (zero only at q = 0).
     """
-    series_value = hsv_evaluate(sol, t).value
-    return abs(series_value - geometric_closed_form(sol.params, t).value)
+    sets, _ = sol._stack()
+    geometric = sol._unstack(np.array([geometric_closed_form(p, t).value for p in sets]))
+    return abs(hsv_evaluate(sol, t).value - geometric)

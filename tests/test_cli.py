@@ -20,6 +20,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_builds(monkeypatch):
+    """Record the parameter sets of each ``hsv_iterate`` call the CLI makes."""
+    calls = []
+
+    def counted(params, n_terms):
+        calls.append((params,) if isinstance(params, ModelParams) else tuple(params))
+        return hsv_iterate(params, n_terms)
+
+    monkeypatch.setattr("fraclogistic.cli.hsv_iterate", counted)
+    return calls
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports the package these tests import."""
     path = [str(Path(fraclogistic.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -224,26 +236,35 @@ class TestSeriesCommands:
             assert len({lam for _, lam, _ in block}) == 1
             assert [f"{t},{z}" for t, _, z in block] == curve
 
-    @pytest.mark.parametrize("vary, builds", [("both", 9), ("lambda", 1)])
+    @pytest.mark.parametrize("vary, sets", [("both", 9), ("lambda", 1)])
     def test_square_mode_surface_builds_each_series_once(self, capsys, monkeypatch,
-                                                          vary, builds):
-        # --mode square takes lam = 1: the lambda sweep repeats one series
-        calls = []
-
-        def counted(params, n_terms):
-            calls.append(params)
-            return hsv_iterate(params, n_terms)
-
-        monkeypatch.setattr("fraclogistic.cli.hsv_iterate", counted)
+                                                          vary, sets):
+        # --mode square takes lam = 1: the lambda sweep repeats one series, and
+        # the command's one stacked call carries each distinct series once
+        calls = count_builds(monkeypatch)
         # --vary both evaluates at --at-t and takes no --points
         argv = ("surface", "--vary", vary, "--mode", "square", "--n-terms", "4",
                 *(("--points", "3") if vary == "lambda" else ()))
         first = run_cli(capsys, *argv)
         assert first[0] == 0
-        assert len(calls) == len(set(calls)) == builds
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == sets
+        assert {p.lam for p in calls[0]} == {1.0}
         # nothing carries over to the next call
         assert run_cli(capsys, *argv) == first
-        assert len(calls) == 2 * builds
+        assert len(calls) == 2 and calls[1] == calls[0]
+
+    @pytest.mark.parametrize("argv, sets", [
+        (("hsv", "--points", "3"), 1),
+        (("convergence", "--points", "3"), 1),
+        (("surface", "--vary", "mu", "--points", "3"), 9),
+        (("surface", "--vary", "lambda", "--points", "3"), 10),
+        (("surface", "--vary", "both"), 90),
+    ])
+    def test_series_commands_build_one_stack(self, capsys, monkeypatch, argv, sets):
+        calls = count_builds(monkeypatch)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 1 and len(calls[0]) == sets
 
 
 @pytest.mark.parametrize("sweep, single, flag", [
@@ -466,6 +487,41 @@ class TestExitCodes:
                                "--to", "1.01", "--points", "2")
         assert code == 3
         assert err.startswith("error:") and "did not converge" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("surface", "--vary", "lambda", "--r", "1e200"),
+         "term x_2 has non-finite coefficients"),
+        # mu = 0.1 overflows at x_31 before mu = 1 overflows Gamma(181)
+        (("surface", "--vary", "mu", "--to", "1", "--n-terms", "180", "--r", "1e10",
+          "--points", "3"), "term x_31 has non-finite coefficients"),
+        # mu = 0.1 overflows at x_105 before mu = 0.9 overflows Gamma(172)
+        (("surface", "--vary", "both", "--n-terms", "190", "--r", "1e3"),
+         "term x_105 has non-finite coefficients"),
+    ])
+    def test_failing_sweep_names_its_first_failing_set(self, capsys, argv, message):
+        # exit code and message as when each set was built on its own
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_series_past_its_radius_exits_3(self, capsys):
+        # the series prints z = 922 at t = 4 and 1.03e13 at t = 10 for k = 100
+        code, out, err = run_cli(capsys, "hsv", "--r", "1", "--mu", "0.9", "--n-terms", "30",
+                                 "--t-end", "10", "--points", "6")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: series has not converged at t = 4.0, mu = 0.9, "
+                              "lambda = 1.0:")
+        # convergence shows the divergence instead
+        assert run_cli(capsys, "convergence", "--r", "1", "--mu", "0.9", "--n-max", "30",
+                       "--t-end", "10", "--points", "6")[0] == 0
+
+    def test_sweep_names_the_first_set_past_its_radius(self, capsys):
+        # lambda = 0.1 .. 0.8 converge on [0, 3]; 0.9 and 1.0 do not at t = 3
+        argv = ("--r", "1", "--mu", "0.9", "--n-terms", "30", "--t-end", "3", "--points", "4")
+        code, out, err = run_cli(capsys, "surface", "--vary", "lambda", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: series has not converged at t = 3.0, mu = 0.9, "
+                              "lambda = 0.9:")
+        for lam, code in (("0.8", 0), ("0.9", 3)):
+            assert run_cli(capsys, "hsv", "--lambda", lam, *argv)[0] == code
 
     @pytest.mark.parametrize("argv", [("hsv", "--mu", "1", "--n-terms", "175"),
                                       ("convergence", "--n-max", "201")])

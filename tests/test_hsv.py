@@ -349,3 +349,88 @@ class TestGeometricForm:
         assert str(excinfo.value) == str(point)
         assert f"at t = {first};" in str(point)
         assert excinfo.value.ratio == point.ratio
+
+
+def _cli_sweeps(r, z0):
+    """Parameter stacks of the shapes the CLI builds, in sweep order."""
+    def p(mu, lam):
+        return ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam)
+
+    mus, lams = [0.1 * i for i in range(1, 10)], [0.1 * i for i in range(11)]
+    return {"mu": [p(mu, 0.5) for mu in mus],
+            "lambda": [p(0.9, lam) for lam in lams],
+            "both": [p(mu, lam) for mu in mus for lam in lams[1:]],
+            "square": [p(mu, 1.0) for mu in mus]}
+
+
+def _assert_stack_matches_sets(sets, n, ts):
+    """One stacked build and evaluation give each set's own bytes, or its first error."""
+    try:
+        singles = [hsv_iterate(p, n) for p in sets]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            hsv_iterate(sets, n)
+        assert str(excinfo.value) == str(exc)
+        return
+    stack = hsv_iterate(sets, n)
+    assert stack.params == tuple(sets)
+    assert stack.coeffs.shape == (len(sets), n + 1, n + 1) and stack.truncation == n
+    assert not stack.coeffs.flags.writeable
+    out = hsv_evaluate(stack, ts)
+    values = stack.term_values(ts)
+    for i, single in enumerate(singles):
+        assert stack.coeffs[i].tobytes() == single.coeffs.tobytes()
+        one = hsv_evaluate(single, ts)
+        assert out.value[i].tobytes() == one.value.tobytes()
+        assert out.last_term[i].tobytes() == one.last_term.tobytes()
+        assert values[i].tobytes() == single.term_values(ts).tobytes()
+    assert len(stack.terms) == len(sets) * (n + 1)
+
+
+@pytest.mark.parametrize("sweep", ["mu", "lambda", "both", "square"])
+def test_stack_matches_each_set_bytewise(sweep):
+    ts = np.array([0.0, 1e-300, 0.5, 3.0, 10.0])
+    for r, z0 in itertools.product((0.1, -0.7, 2.0), (10.0, 150.0)):
+        for n in (1, 2, 10, 30):
+            _assert_stack_matches_sets(_cli_sweeps(r, z0)[sweep], n, ts)
+
+
+def test_stack_of_several_chunks_matches(monkeypatch):
+    sets = _cli_sweeps(0.1, 10.0)["both"]
+    ts = np.linspace(0.0, 10.0, 12)
+    whole = hsv_iterate(sets, 10)
+    whole_out = hsv_evaluate(whole, ts)
+    # 7 sets a chunk while building (11 x 11 cells a set), 6 while evaluating
+    # 11 terms at 12 times
+    monkeypatch.setattr("fraclogistic.hsv._CELLS", 7 * 11 * 11)
+    chunked = hsv_iterate(sets, 10)
+    assert chunked.coeffs.tobytes() == whole.coeffs.tobytes()
+    out = hsv_evaluate(chunked, ts)
+    assert out.value.tobytes() == whole_out.value.tobytes()
+    assert out.last_term.tobytes() == whole_out.last_term.tobytes()
+    _assert_stack_matches_sets(sets[::7], 10, np.array([0.0, 2.0]))
+
+
+def test_scalar_time_on_a_stack():
+    sets = _cli_sweeps(0.1, 10.0)["mu"]
+    stack = hsv_iterate(sets, 6)
+    out = hsv_evaluate(stack, 1.5)
+    assert out.value.shape == out.last_term.shape == (len(sets),)
+    assert stack.term_values(1.5).shape == (len(sets), 7)
+    for i, p in enumerate(sets):
+        assert out.value[i] == hsv_evaluate(hsv_iterate(p, 6), 1.5).value
+        assert geometric_gap(stack, 1.5)[i] == geometric_gap(hsv_iterate(p, 6), 1.5)
+
+
+def test_stack_fails_at_its_first_failing_set():
+    late = ModelParams(r=1e10, k=100.0, z0=10.0, mu=0.9, lam=0.5)  # fails at x_31
+    early = ModelParams(r=1e200, k=100.0, z0=10.0, mu=0.9, lam=0.5)  # fails at x_2
+    heavy = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0, lam=0.5)  # Gamma(176) overflows
+    for sets in ([late, early], [early, late], [late, heavy], [heavy, late]):
+        _assert_stack_matches_sets(sets, 175, np.array([1.0]))
+    with pytest.raises(ValueError, match="x_31 has"):
+        hsv_iterate([late, early], 175)
+    with pytest.raises(ValueError, match="overflows for n_terms = 175, mu = 1.0"):
+        hsv_iterate([heavy, early], 175)
+    with pytest.raises(ValueError, match="at least one"):
+        hsv_iterate([], 3)
