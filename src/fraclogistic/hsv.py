@@ -181,10 +181,10 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
 
     ``params`` is a :class:`ModelParams`, or a sequence of them for a
     stacked solution.  Row i of an (n+1) x (n+1) matrix ``c`` holds the
-    coefficients of x_i; a stack steps one ``(P, n+1, n+1)`` tensor, with a
-    Gamma table and delay factors per set, in chunks of at most
-    ``_CELLS // (n+1)**2`` sets (one at least).  Every operation acts on
-    each set alone, in the order a single set takes, so a set's
+    coefficients of x_i; a stack steps one ``(P, n+1, n+1)`` tensor, with
+    delay factors per set and a Gamma table per distinct mu, in chunks of
+    at most ``_CELLS // (n+1)**2`` sets (one at least).  Every operation
+    acts on each set alone, in the order a single set takes, so a set's
     coefficients do not depend on the stack around it, bit for bit.
 
     Step n builds only ``P_n``: row p of ``prod`` collects the Cauchy
@@ -203,14 +203,17 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
     if not sets:
         raise ValueError("params must hold at least one parameter set")
     size = n_terms + 1
-    g, delay, overflow = [], [], None
+    tables, g, delay, overflow = {}, [], [], None
     for p in sets:  # arrays, not lists of floats: 1001 sets at n = 60 would hold 4 MB
-        try:
-            g.append(np.fromiter((gamma_fn(k * p.mu + 1.0) for k in range(size)), float, size))
-        except OverflowError:  # raised once the sets before it are built
-            overflow = (f"Gamma(n_terms*mu + 1) overflows for n_terms = {n_terms}, "
-                        f"mu = {p.mu}; n_terms*mu must stay below about 170")
-            break
+        if p.mu not in tables:  # one Gamma table per mu
+            try:
+                tables[p.mu] = np.fromiter((gamma_fn(k * p.mu + 1.0) for k in range(size)),
+                                           float, size)
+            except OverflowError:  # raised once the sets before it are built
+                overflow = (f"Gamma(n_terms*mu + 1) overflows for n_terms = {n_terms}, "
+                            f"mu = {p.mu}; n_terms*mu must stay below about 170")
+                break
+        g.append(tables[p.mu])
         delay.append(np.fromiter((p.lam ** (k * p.mu) for k in range(size)), float, size))
     g, delay = np.reshape(g, (-1, size)), np.reshape(delay, (-1, size))
     c = np.zeros((len(g), size, size))

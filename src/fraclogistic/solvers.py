@@ -71,7 +71,7 @@ when rho moves.  G and GA depend on nothing but the scheme (A) and rho, so
 a small cache keeps the last ones built and solves of one scheme share
 them.  A lam > 0 leaf that rebuilds G takes the rung nearest its mean
 slope on a grid of spacing _RHO_MOVE / ||A||_1, which the scheme alone
-fixes; so the stability probe's four solves, and leaves whose slopes fall
+fixes; so the stability probe's four runs, and leaves whose slopes fall
 on one rung, build G once.  A leaf whose slopes cluster within half a
 rung keeps its exact mean, where the rung would slow its sweeps.  The
 first G of a run is built at f's slope at node 0, which lam = 0 leaves
@@ -94,15 +94,30 @@ message and step.  CFC runs always take the loop.  ``Trajectory.stats``
 counts the nodes each route solved, the sweeps, the rejected leaves and
 the inverses built.
 
+Stacks: runs that differ only in the constant forcing, as the stability
+probe's do, are solved as one stack by ``solve(..., forcing=(e_1, ...,
+e_P))``; a float forcing is the P = 1 case, kept on 1-d arrays.  The rows
+share the scheme, the lag weights and each leaf's elementwise sweep work,
+and a history block is one 2-d FFT.  Each row keeps its own rho and G,
+its own rebuild decision and stop test, and a row that stops keeps its
+iterate while the others sweep on; so every row is its own solve bit for
+bit.  Node 0, a rejected leaf and CFC runs take the step loop one row at
+a time, and a failing stack raises the error that solving its rows one
+by one would meet first.  Each leaf product is the first half of a full
+convolution, taken from the correlation that np.convolve makes, without
+that function's argument checks.
+
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import NamedTuple
@@ -198,14 +213,17 @@ class SolveConfig:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution values from one solver run.
+    """Uniform-grid solution values from one solver run, or a stack of runs.
 
-    ``stats`` says how :func:`solve` got them: ``leaf_nodes`` and
-    ``loop_nodes``, the nodes after node 0 solved in leaves and by the step
-    loop; ``sweeps``, the leaf sweeps in all (one right-hand side call
-    each); ``max_sweeps``, the most in one leaf; ``rejected_leaves``, the
-    leaves handed to the step loop; ``inverses_built``, the leaf inverses G
-    built by Newton doubling rather than found in the cache.
+    ``values`` is 1-d, or ``(P, M+1)`` for a stack of P forcings, one run a
+    row on the one ``grid``.  ``stats`` says how :func:`solve` got them,
+    summed over a stack's rows: ``leaf_nodes`` and ``loop_nodes``, the
+    nodes after node 0 solved in leaves and by the step loop; ``sweeps``,
+    the leaf sweeps in all (a stack's rows share each right-hand side
+    call); ``max_sweeps``, the most in one leaf of one row;
+    ``rejected_leaves``, the leaves handed to the step loop;
+    ``inverses_built``, the leaf inverses G built by Newton doubling rather
+    than found in the cache.
     """
 
     grid: np.ndarray
@@ -277,14 +295,20 @@ def _lag_weights(mu: float, size: int) -> tuple:
     return w, end, {}
 
 
+# A leaf inverse: rho, the first columns of G and GA, their magnitudes, ||GA||_1.
+_Inverse = collections.namedtuple("_Inverse", "rho g ga g_abs ga_abs ga_norm")
+
+
 @functools.lru_cache(maxsize=32)
-def _leaf_inverse(a_col: bytes, rho: float, with_ga: bool) -> tuple:
+def _leaf_inverse(a_col: bytes, rho: float, with_ga: bool) -> _Inverse:
     """First columns g of G = (I - rho A)^-1 and ga of GA (empty unless ``with_ga``).
 
     ``a_col`` holds the bytes of A's first column, which carry the scheme:
     mu, c_hist, diag and the leaf size.  g is the power series
-    1 / (1 - rho sum_m a_col[m] x^m), found by Newton doubling.  Both are
-    read-only, since the solves of one scheme share them.
+    1 / (1 - rho sum_m a_col[m] x^m), found by Newton doubling.  The
+    :data:`_Inverse` adds |g| and |ga|, for the leaves' rounding bounds, and
+    ||GA||_1.  Its arrays are read-only, since the solves of one scheme
+    share them.
     """
     a_col = np.frombuffer(a_col)
     size = len(a_col)
@@ -297,8 +321,20 @@ def _leaf_inverse(a_col: bytes, rho: float, with_ga: bool) -> tuple:
         g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
     # lam = 0 leaves need no GA
     ga = np.convolve(g, a_col)[:size] if with_ga else g[:0]
-    g.flags.writeable = ga.flags.writeable = False
-    return g, ga
+    inverse = _Inverse(rho, g, ga, np.abs(g), np.abs(ga), np.abs(ga).sum())
+    for column in inverse[1:5]:
+        column.flags.writeable = False
+    return inverse
+
+
+def _lower(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column ``col`` times ``x``.
+
+    Only the first ``len(x)`` entries of ``col`` count.  The result is
+    ``np.convolve(col[:len(x)], x)[:len(x)]`` bit for bit: convolve checks
+    its arguments, then correlates with x reversed, as here.
+    """
+    return np.correlate(col[:len(x)], x[::-1], "full")[:len(x)]
 
 
 # Overflow in the history sums, or a singular leaf matrix, shows as a
@@ -308,7 +344,7 @@ def solve(
     params: ModelParams,
     cfg: SolveConfig,
     *,
-    forcing: float = 0.0,
+    forcing: float | Sequence[float] = 0.0,
     pantograph: bool = True,
 ) -> Trajectory:
     """Integrate the delayed logistic model under the configured operator.
@@ -317,9 +353,12 @@ def solve(
     ----------
     params, cfg
         Model parameters and solver configuration.
-    forcing : float, optional
+    forcing : float or 1-d sequence of floats, optional
         Constant additive perturbation of the right-hand side (used by the
-        stability probe).
+        stability probe).  A sequence of P forcings solves P runs as one
+        stack: ``values`` then has shape ``(P, M+1)``, row i the run at the
+        i-th forcing, bit for bit as its own solve gives it, and ``stats``
+        sums the rows (``max_sweeps`` is the largest).
     pantograph : bool, optional
         When False the feedback is undelayed: the solve runs with lam = 1
         whatever ``params.lam`` is, and the trajectory keeps ``params``.
@@ -328,15 +367,32 @@ def solve(
     ------
     SolverError
         If an implicit step has no real root, or its root is non-finite or
-        not positive.
+        not positive; for a stack, the error of the first failing row.
     """
     p = params
     h = cfg.h
     mu = p.mu
     r, k, z0, lam = p.r, p.k, p.z0, (p.lam if pantograph else 1.0)
+    forcing = np.asarray(forcing, dtype=float)
+    if forcing.ndim > 1 or not forcing.size:
+        raise ValueError(f"forcing must be a float or a nonempty 1-d sequence, got {forcing!r}")
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
     grid = h * np.arange(n_steps + 1)
-    z = np.zeros(n_steps + 1)
+    # A stack keeps row i of z, f_hist and far for forcing i, and a column of
+    # forcings and of slopes rho; a single forcing keeps 1-d arrays and
+    # scalars, since numpy calls on them cost less than on one-row stacks.
+    z = np.zeros((*forcing.shape, n_steps + 1))
+
+    def by_row(f, x):
+        """f(i, row i of x) for every row, stacked like x."""
+        return np.array([f(i, row) for i, row in enumerate(x)]) if forcing.ndim else f(0, x)
+
+    def column(xs):
+        """One scalar per row, as a column like forcing's."""
+        return np.array(xs)[:, None] if forcing.ndim else xs[0]
+
+    row_forcing = forcing.reshape(-1).tolist()
+    f_col = column(row_forcing)
 
     op = cfg.operator
     cfc = op is OperatorKind.CFC
@@ -349,7 +405,8 @@ def solve(
     # also the scale of the lag weights w
     c_hist = c_quad * (h ** e / (e * (e + 1.0)))
     diag = c_point + c_hist
-    f_hist = np.zeros(n_steps + 1)
+    f_hist = np.zeros(z.shape)
+    z_rows, f_rows = z.reshape(-1, n_steps + 1), f_hist.reshape(-1, n_steps + 1)
     stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0,
                  inverses_built=0)
     if not cfc:
@@ -359,12 +416,15 @@ def solve(
         w, end, spectra = _lag_weights(mu, max(n_steps + 1, _BLOCK))
         near_w, tiles = [], {}  # the step loop's, built when it first runs
 
-        def add_far(n: int) -> None:
-            """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n."""
+        def add_far(n: int, fh: np.ndarray, fr: np.ndarray) -> None:
+            """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n.
+
+            ``fh`` and ``fr`` are one row's f and far, or a stack's (L >= _BLOCK).
+            """
             size = n & -n
             count = min(size, n_steps + 1 - n)
             if size < _BLOCK:
-                far[n:n + count] += tiles[size][:count] @ f_hist[n - size:n]
+                fr[n:n + count] += tiles[size][:count] @ fh[n - size:n]
                 return
             # Sources go in pieces of P >= count nodes (at most 8 pieces), so
             # a block that runs past the last node needs no full-size FFT.
@@ -380,9 +440,9 @@ def solve(
                     spec = spectra.get(piece)
                     if spec is None:
                         spec = spectra[piece] = np.fft.rfft(w[1:2 * piece], 2 * piece)
-                conv = np.fft.irfft(np.fft.rfft(f_hist[start:start + piece], 2 * piece)
+                conv = np.fft.irfft(np.fft.rfft(fh[..., start:start + piece], 2 * piece)
                                     * spec, 2 * piece)
-                far[n:n + count] += conv[piece - 1:piece - 1 + count]
+                fr[..., n:n + count] += conv[..., piece - 1:piece - 1 + count]
 
         # The nodes of one leaf solve F(z) = z - v - A f(z) = 0, with A lower-
         # triangular Toeplitz, A[i, j] = a_col[i - j], and v holding z0 and
@@ -394,15 +454,15 @@ def solve(
         a_key = a_col.tobytes()  # the scheme, for the inverses' cache
         rung = _RHO_MOVE / a_sum[-1]  # a_sum[-1] = ||A||_1
 
-        def build(rho: float) -> tuple:
-            """rho and the first columns of G and GA at rho, counting the builds."""
+        def build(rho: float) -> _Inverse:
+            """The leaf inverse at rho, counting the builds."""
             built = _leaf_inverse.cache_info().misses
-            g, ga = _leaf_inverse(a_key, rho, bool(lam))
+            inverse = _leaf_inverse(a_key, rho, bool(lam))
             stats["inverses_built"] += _leaf_inverse.cache_info().misses - built
-            return rho, g, ga
+            return inverse
 
-        def leaf(s: int, stop: int) -> bool:
-            """Solve nodes s .. stop-1 in sweeps; False if the leaf is rejected.
+        def leaf(s: int, stop: int) -> list:
+            """Solve nodes s .. stop-1 of every row in sweeps; the rows rejected.
 
             Each sweep takes z <- G (v + A (f(z) - rho z)), a Newton-type step
             with the Jacobian of f replaced by rho I, summed as v + GA (f(z)
@@ -413,31 +473,37 @@ def solve(
             f - rho z at q, its value at the last node.  At lam = 0, f - rho z
             is the forcing, so the first iterate is the solution: the leaf's one
             sweep only evaluates f there.
-            A leaf is rejected when its sweeps stop contracting, or their rate
-            would need more than _SWEEPS.
+            A row stops sweeping when its sweeps stop contracting, or their
+            rate would need more than _SWEEPS, and keeps its iterate and f from
+            then on; its leaf is rejected unless the sweeps converged.  The
+            rows share the elementwise work; each takes its own G.
             """
-            nonlocal lin
             cnt = stop - s
-            rho, g, ga = lin
-            v = z0 + c_hist * far[s:stop]
+            v = z0 + c_hist * far[..., s:stop]
             if s == 1:  # node 0's lags, which the step loop sums as near ones
-                v += c_hist * w[1:stop] * f_hist[0]
-            zd, shift = z0, 0.0  # lam = 0 feeds back the datum
-            if lam:
+                v += c_hist * w[1:stop] * f_hist[..., :1]
+            # zd, the delayed values: lam = 0 feeds back the datum, lam = 1
+            # the iterate itself, and other lam interpolate z
+            zd, shift = z0, (1.0 if lam == 1.0 else 0.0)
+            if 0.0 < lam < 1.0:
                 idx = np.arange(s, stop)
                 pos = lam * idx  # the step loop's arithmetic
                 j = pos.astype(np.intp)
                 theta = pos - j
-                j1 = np.minimum(j + 1, idx)  # lam = 1: j = n, theta = 0
+                j1 = j + 1  # <= n, as lam < 1
                 shift = (1.0 - theta) * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
-            vq = v + (f_hist[s - 1] - rho * z[s - 1]) * a_sum[:cnt]
-            zl = np.convolve(g[:cnt], vq)[:cnt]
-            worst = math.inf if lam else 0.0
+            vq = v + column([f_rows[i, s - 1] - inv.rho * z_rows[i, s - 1]
+                             for i, inv in enumerate(lin)]) * a_sum[:cnt]
+            zl = by_row(lambda i, q: _lower(lin[i].g, q), vq)
+            going = range(len(lin))  # the rows still sweeping
+            worst, done = [math.inf if lam else 0.0] * len(lin), [0] * len(lin)
             for sweep in range(1, _SWEEPS + 1):
-                z[s:stop] = zl
-                if lam:
-                    zd = (1.0 - theta) * z[j] + theta * z[j1]
-                fl = logistic_rhs(p, zl, zd, forcing)
+                if lam == 1.0:  # (1 - 0) z_n + 0 z_n, as interpolated: nan where z_n = inf
+                    zd = zl + 0.0 * zl
+                elif lam:
+                    z[..., s:stop] = zl
+                    zd = (1.0 - theta) * z.take(j, axis=-1) + theta * z.take(j1, axis=-1)
+                fl = logistic_rhs(p, zl, zd, f_col)
                 if sweep == 1:
                     if lam:
                         # the slope of each f_n along a uniform shift of the
@@ -447,44 +513,60 @@ def solve(
                         # barely move the nodes while the sweeps stall, and
                         # pass the stop test
                         slopes = r * (1.0 - (zd + shift * zl) / k)
-                        mean = slopes.mean()
-                        spread = np.abs(slopes - mean).max()
-                        if abs(mean - rho) > max(_RHO_MOVE / np.abs(ga).sum(), spread):
-                            if spread > 0.5 * rung:  # the rung slows sweeps little
-                                mean = np.rint(mean / rung) * rung
-                            lin = rho, g, ga = build(mean)
+                        mean = slopes.sum(axis=-1, keepdims=True) / cnt  # as .mean()
+                        spread = np.abs(slopes - mean).max(axis=-1).reshape(-1).tolist()
+                        for i, at, by in zip(going, mean.ravel().tolist(), spread):
+                            if abs(at - lin[i].rho) > max(_RHO_MOVE / lin[i].ga_norm, by):
+                                if by > 0.5 * rung:  # the rung slows sweeps little
+                                    at = np.rint(at / rung) * rung
+                                lin[i] = build(at)
                     # four times the rounding error of the two sums
-                    tol = 4.0 * _EPS * np.convolve(np.abs(g[:cnt]), np.abs(vq))[:cnt]
+                    tol = 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].g_abs, q), np.abs(vq))
                     if not lam:
+                        done = [1] * len(lin)
                         break
-                    tol += 4.0 * _EPS * np.convolve(
-                        np.abs(ga[:cnt]), np.abs(fl) + np.abs(rho * (v - zl)))[:cnt]
-                zn = v + np.convolve(ga[:cnt], fl + rho * (v - zl))[:cnt]
-                last, worst = worst, (np.abs(zn - zl) / tol).max()
-                # stop at convergence, or when the rate of contraction says
-                # the sweeps would not get there
-                if (not 1.0 < worst < last
-                        or sweep + math.log(worst) / math.log(last / worst) > _SWEEPS):
+                    rho = column([inv.rho for inv in lin])
+                    tol += 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].ga_abs, q),
+                                               np.abs(fl) + np.abs(rho * (v - zl)))
+                # a row that stopped keeps zl, whatever its zn
+                zn = v + by_row(lambda i, q: _lower(lin[i].ga, q) if i in going else q,
+                                fl + rho * (v - zl))
+                ratio = (np.abs(zn - zl) / tol).max(axis=-1).reshape(-1).tolist()
+                # a row stops at convergence, or when the rate of contraction
+                # says its sweeps would not get there
+                for i in going:
+                    last, worst[i] = worst[i], ratio[i]
+                    if (not 1.0 < worst[i] < last
+                            or sweep + math.log(worst[i]) / math.log(last / worst[i]) > _SWEEPS):
+                        done[i] = sweep
+                going = [i for i in going if not done[i]]
+                if len(going) == len(lin):
+                    zl = zn
+                elif not going:
                     break
-                zl = zn
-            stats["sweeps"] += sweep
-            stats["max_sweeps"] = max(stats["max_sweeps"], sweep)
-            f_hist[s:stop] = fl  # the step loop overwrites a rejected leaf
+                else:
+                    zl[going] = zn[going]
+            stats["sweeps"] += sum(done)
+            stats["max_sweeps"] = max(stats["max_sweeps"], *done)
+            z[..., s:stop] = zl  # lam = 1 and lam = 0 leave it to here
+            f_hist[..., s:stop] = fl  # the step loop overwrites a rejected leaf
             # a node within the rounding error of its sums may have either
             # sign, and the step loop's sums over a leaf whose f sums to
             # overflow may overflow before the leaf's nodes do: the loop
             # decides both
-            return worst <= 1.0 and np.all(4.0 * zl > tol) and np.abs(fl).sum() < math.inf
+            ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf))
+            ok = ok.reshape(-1).tolist()
+            return [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
 
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
     # keeps its pointwise f term (the jump amplitude on linear problems);
-    # CFC's f(t) - f(0) term vanishes there.  The loop reads and writes z and
-    # f_hist through memoryviews, which give Python floats, and calls numpy
-    # only where a node starts an 8-node sub-block.
-    zs, fs = z.data, f_hist.data
+    # CFC's f(t) - f(0) term vanishes there.  The loop reads and writes a
+    # row's z and f_hist through memoryviews, which give Python floats, and
+    # calls numpy only where a node starts an 8-node sub-block.
 
-    def steps(lo: int, hi: int) -> None:
-        """Solve nodes lo .. hi-1 one at a time; lo is 0, 1 or a leaf boundary."""
+    def steps(i: int, lo: int, hi: int) -> None:
+        """Solve row i's nodes lo .. hi-1 one at a time; lo is 0, 1 or a leaf boundary."""
+        zs, fs, forcing = z_rows[i].data, f_rows[i].data, row_forcing[i]
         base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
         zn = zs[lo - 1] if lo else z0  # the previous node's value
         if lo and not cfc:
@@ -496,7 +578,8 @@ def solve(
                 idx = np.arange(_BLOCK // 2)
                 tiles.update((size, w[size + idx[:size, None] - idx[:size]])
                              for size in (8, 16, 32))
-            far_blk = far[lo & -8:(lo & -8) + 8].tolist()
+            fh, fr = f_rows[i], far.reshape(-1, far.shape[-1])[i]
+            far_blk = fr[lo & -8:(lo & -8) + 8].tolist()
         stats["loop_nodes"] += hi - max(lo, 1)
         for n in range(lo, hi):
             if n:  # the history of node n
@@ -510,8 +593,8 @@ def solve(
                 else:
                     sub = n & 7
                     if not sub and n > lo:  # n starts a sub-block
-                        add_far(n)
-                        far_blk = far[n:n + 8].tolist()
+                        add_far(n, fh, fr)
+                        far_blk = fr[n:n + 8].tolist()
                     base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[n - sub:n])))
             # delayed value a + b * z_n
             if lam == 0.0:
@@ -555,28 +638,37 @@ def solve(
                 # z0 plus a history whose terms reach the largest state, z_max,
                 # resolves no z below a few eps z_max
                 floor = (", within 4 eps z_max of 0: the integral form's rounding floor"
-                         if -zn <= 4.0 * _EPS * max(z0, z[:n].max(initial=0.0)) else "")
+                         if -zn <= 4.0 * _EPS * max(z0, z_rows[i, :n].max(initial=0.0)) else "")
                 raise SolverError(f"non-positive state {zn:.6g} at step {n}{floor}", step=n)
             fn = logistic_rhs(p, zn, a + b * zn, forcing)
             zs[n] = zn
             fs[n] = fn
 
     # ABC and Caputo solve node 0 by the step, then aligned leaves of _LEAF
-    # nodes from node 1; a rejected leaf is solved by the step loop.
-    steps(0, n_steps + 1 if cfc else 1)
-    if not cfc:
-        far = end * f_hist[0]
-        # f's slope at node 0: the datum feeds back at lam = 0; otherwise
-        # z(lam t) moves with z, as it does inside the first leaf
-        lin = build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * z[0]) / k))
-        for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
-            stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
-            if not leaf(s, stop):
-                stats["rejected_leaves"] += 1
-                steps(s, stop)
-            if stop <= n_steps:
-                add_far(stop)
-    stats["leaf_nodes"] = n_steps - stats["loop_nodes"]
+    # nodes from node 1; a row whose leaf is rejected solves it by the step
+    # loop.  CFC rows take the loop throughout.
+    try:
+        for row in range(len(z_rows)):
+            steps(row, 0, n_steps + 1 if cfc else 1)
+        if not cfc:
+            far = end * f_hist[..., :1]
+            # f's slope at node 0: the datum feeds back at lam = 0; otherwise
+            # z(lam t) moves with z, as it does inside the first leaf
+            lin = [build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * start) / k))
+                   for start in z_rows[:, 0].tolist()]
+            for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
+                stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
+                rejected = leaf(s, stop)
+                stats["rejected_leaves"] += len(rejected)
+                for row in rejected:
+                    steps(row, s, stop)
+                if stop <= n_steps:
+                    add_far(stop, f_hist, far)
+    except SolverError:
+        if row:  # solved one at a time, an earlier row might fail first
+            solve(params, cfg, forcing=forcing[:row], pantograph=pantograph)
+        raise
+    stats["leaf_nodes"] = n_steps * len(z_rows) - stats["loop_nodes"]
 
     return Trajectory(grid=grid, values=z, operator=op, params=p, stats=stats)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -434,3 +435,24 @@ def test_stack_fails_at_its_first_failing_set():
         hsv_iterate([heavy, early], 175)
     with pytest.raises(ValueError, match="at least one"):
         hsv_iterate([], 3)
+
+
+def test_stack_builds_one_gamma_table_per_mu(monkeypatch):
+    # the 90 sets of `surface --vary both` take 9 orders mu; each table is
+    # the one a set builds alone, so the coefficients are its own bit for bit
+    sets = _cli_sweeps(0.1, 10.0)["both"]
+    singles = [hsv_iterate(p, 10).coeffs.tobytes() for p in sets]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return gamma_fn(x)
+
+    monkeypatch.setattr("fraclogistic.hsv.gamma_fn", counted)
+    stack = hsv_iterate(sets, 10)
+    assert len(calls) == 9 * 11
+    assert [c.tobytes() for c in stack.coeffs] == singles
+    # an overflowing table is still met at its first set in stack order
+    heavy = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0, lam=0.5)
+    with pytest.raises(ValueError, match="overflows for n_terms = 175, mu = 1.0"):
+        hsv_iterate([sets[0], heavy, sets[1], replace(heavy, lam=0.2)], 175)

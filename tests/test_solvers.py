@@ -28,6 +28,7 @@ from fraclogistic.solvers import (
     _MAX_STEPS,
     _lag_weights,
     _leaf_inverse,
+    _lower,
 )
 
 
@@ -482,6 +483,10 @@ class TestLeafInverses:
                     for forcing in self.FORCINGS)
         assert built <= uncached_builds // 2
         assert built == _leaf_inverse.cache_info().misses
+        # the probe's one stacked solve builds no more
+        _leaf_inverse.cache_clear()
+        assert solve(p, cfg, forcing=self.FORCINGS).stats["inverses_built"] == built
+        assert _leaf_inverse.cache_info().misses == built
 
     @pytest.mark.parametrize("operator, r, lam, outcome", [
         # the first iterate's mean slope is -1e305, which is beyond the
@@ -536,3 +541,83 @@ class TestLagWeights:
         ref_w, ref_end = exact_lag_weights(0.7, range(1, size + 1))
         np.testing.assert_allclose(w[1:], ref_w, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(end[1:], ref_end, rtol=1e-14, atol=0.0)
+
+
+class TestStacks:
+    """A sequence of forcings is solved as one stack; each row is its own solve."""
+
+    FORCINGS = (0.0, 1e-4, 1e-3, 1e-2)
+
+    @staticmethod
+    def alone(p, cfg, forcings):
+        """Each forcing's own solve: the values, and the stats summed as a stack's."""
+        runs = [solve(p, cfg, forcing=forcing) for forcing in forcings]
+        stats = {key: sum(run.stats[key] for run in runs) for key in runs[0].stats}
+        stats["max_sweeps"] = max(run.stats["max_sweeps"] for run in runs)
+        return np.array([run.values for run in runs]), stats
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 0.5, 1.0])
+    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 1100])
+    def test_rows_are_their_own_solves(self, operator, lam, steps):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=lam)
+        cfg = SolveConfig(operator=operator, t_end=steps * 0.01, h=0.01)
+        stack = solve(p, cfg, forcing=self.FORCINGS)
+        values, stats = self.alone(p, cfg, self.FORCINGS)
+        assert stack.values.shape == (4, steps + 1)
+        assert stack.values.tobytes() == values.tobytes()
+        assert stack.grid.tobytes() == solve(p, cfg).grid.tobytes()
+        del stats["inverses_built"]  # the rows share their builds
+        assert stats.items() <= stack.stats.items()
+
+    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    def test_rejected_leaves(self, operator):
+        # at r = 2 some leaves are handed to the step loop (see
+        # test_rejected_leaf_hands_over_to_the_loop); the other rows sweep on
+        p = ModelParams(r=2.0, k=100.0, z0=10.0, mu=0.7, lam=0.5)
+        cfg = SolveConfig(operator=operator, t_end=1.2, h=0.002)
+        forcings = (0.0, 1e-2, 1.0, 30.0)
+        stack = solve(p, cfg, forcing=forcings)
+        values, stats = self.alone(p, cfg, forcings)
+        assert stack.values.tobytes() == values.tobytes()
+        assert stack.stats["rejected_leaves"] == stats["rejected_leaves"] > 0
+        assert stack.stats["loop_nodes"] == stats["loop_nodes"]
+
+    def test_single_row(self):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
+        cfg = SolveConfig(operator="abc", t_end=3.0, h=0.01)
+        stack = solve(p, cfg, forcing=[1e-3])
+        assert stack.values.shape == (1, 301)
+        assert stack.values[0].tobytes() == solve(p, cfg, forcing=1e-3).values.tobytes()
+        assert solve(p, cfg, forcing=np.float64(1e-3)).values.shape == (301,)
+
+    @pytest.mark.parametrize("forcing", [[], [[0.0, 1.0]]])
+    def test_forcing_shape(self, forcing):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
+        with pytest.raises(ValueError, match="forcing"):
+            solve(p, SolveConfig(operator="abc", t_end=1.0, h=0.01), forcing=forcing)
+
+    # at r = -3 a forcing of -2 makes z negative at a later step than -5; a
+    # stack raises its first failing row's error, whichever fails first in time
+    @pytest.mark.parametrize("operator, lam, late, early", [
+        ("abc", 0.0, 275, 121), ("caputo", 0.0, 182, 84), ("cfc", 0.0, 191, 133),
+        ("abc", 0.5, 269, 119), ("caputo", 0.5, 178, 82), ("cfc", 0.5, 188, 131)])
+    def test_errors_follow_the_rows(self, operator, lam, late, early):
+        p = ModelParams(r=-3.0, k=100.0, z0=10.0, mu=0.8, lam=lam)
+        cfg = SolveConfig(operator=operator, t_end=5.0, h=0.01)
+        for forcings, step in (((0.0, -2.0, -5.0), late), ((0.0, -5.0, -2.0), early),
+                               ((-2.0, 0.0), late)):
+            with pytest.raises(SolverError, match="non-positive") as excinfo:
+                solve(p, cfg, forcing=forcings)
+            with pytest.raises(SolverError) as alone:
+                solve(p, cfg, forcing=forcings[[f < 0.0 for f in forcings].index(True)])
+            assert str(excinfo.value) == str(alone.value)
+            assert excinfo.value.step == alone.value.step == step
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 255, 256])
+    def test_lower_is_convolve(self, size):
+        rng = np.random.default_rng(size)
+        col, x = rng.standard_normal((2, size)) * 10.0 ** rng.integers(-8, 8, (2, size))
+        assert _lower(col, x).tobytes() == np.convolve(col, x)[:size].tobytes()
+        assert _lower(np.concatenate((col, x)), x).tobytes() == _lower(col, x).tobytes()
+

@@ -70,3 +70,21 @@ def test_traced_closed_form_commands_match_untraced(capsys, argv):
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+def test_traced_stability_matches_untraced(capsys, operator):
+    # the tracer wraps the probe's one stacked solve, fraclogistic.stability.solve,
+    # and counts the steps of its grid
+    argv = ["stability", "--operator", operator, "--lambda", "0.5", "--t-end", "3",
+            "--h", "0.01"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+    assert tracer.counts["solvers.steps"] == 300
