@@ -16,7 +16,6 @@ from .special import mittag_leffler  # noqa: F401
 
 __all__ = [
     "classical_exact",
-    "classical_fixed_points",
     "abc_exact_lambda0",
     "lambda0_amplitude",
 ]
@@ -48,17 +47,6 @@ def classical_exact(p: ModelParams, t):
                                          f"{t_star:.12g}, before t = {ts.max():.12g}")
         z = p.z0 * p.k / den
     return z if np.ndim(t) else float(z[0])
-
-
-def classical_fixed_points(p: ModelParams):
-    """Critical points of the classical model with stability tags.
-
-    Returns ``[(0.0, "unstable"), (k, "stable")]``; only the growth case
-    r > 0 is classified.
-    """
-    if p.r <= 0.0:
-        raise NotImplementedError("fixed-point classification requires r > 0")
-    return [(0.0, "unstable"), (p.k, "stable")]
 
 
 def _lambda0_terms(p: ModelParams) -> tuple:

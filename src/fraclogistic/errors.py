@@ -7,9 +7,10 @@ class ConvergenceError(ValueError):
     """A series did not converge.
 
     Raised when the geometric-series ratio leaves the convergence region
-    |q| < 1, and when the Mittag-Leffler series runs out of terms.  The
-    offending ratio, or the series argument, is kept on the ``ratio``
-    attribute.
+    |q| < 1, when the Mittag-Leffler series runs out of terms, and when a
+    stability probe's deviation sits at its rounding floor.  The offending
+    ratio, the series argument, or the deviation over the floor is kept on
+    the ``ratio`` attribute.
     """
 
     def __init__(self, message: str, ratio: float):

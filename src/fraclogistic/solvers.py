@@ -16,22 +16,27 @@ with the classical ODE),
     Caputo    power law       mu   0           1/Gamma(e)
 
 CFC's pointwise term is c_point (f(t) - f(0)), so that it starts at z0;
-its I^1[f] is the plain integral of f.
+its I^1[f] is the plain integral of f.  The -c_point f(0) part is history
+that every node shares, so the operators differ only in these data.
 
 The integral uses product integration on a uniform grid:
 the smooth factor f is replaced by its piecewise-linear interpolant
 (product trapezoid), and the kernel is integrated exactly against it.
-The weight of f(t_n) in I^e[f](t_n) is h^e / (e (e + 1)).  At e = 1 this
-is the trapezoid rule, which CFC sums as it goes.  At e = mu the history
-weights depend only on the lag n - j, so the history sum is
-a discrete convolution, added in aligned doubling blocks (Hairer, Lubich
-and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each node n whose
+The weight of f(t_n) in I^e[f](t_n) is h^e / (e (e + 1)).  The history
+weights depend only on the lag n - j, so the history sum is a discrete
+convolution, added in aligned doubling blocks (Hairer, Lubich and
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each node n whose
 lowest set bit L is at least 8, the sources f[n-L:n] are added into the
 targets n .. n+L-1 at once, by a dense Toeplitz product for L < 64 and by
-FFT beyond.  Pairs within one aligned 8-node sub-block are summed by the
-step itself.  A run of M steps costs O(M log^2 M) and gives the direct
-sum's values up to rounding.  The step loop reads and writes z and f in
-place and calls numpy only where a node starts a sub-block.
+FFT beyond.  At e = 1 the rule is the trapezoid rule: every lag weighs 2
+(the quadrature gives one ulp less below lag 64), and the kernel is
+constant, as Caputo and Fabrizio's exponential kernel gives (Progr.
+Fract. Differ. Appl. 1, 2015).  So CFC adds a block as one sum,
+2 sum f[n-L:n], to all its targets.  Pairs within one aligned 8-node
+sub-block are summed by the step itself.  A run of M steps costs
+O(M log^2 M) and gives the direct sum's values up to rounding.  The step
+loop reads and writes z and f in place and calls numpy only where a node
+starts a sub-block.
 
 Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
 each step an equation in the unknown z_n.  The delayed value is affine in
@@ -58,11 +63,11 @@ computed grid; no history function is needed since lam in [0, 1] maps
   itself; using the datum makes the solver agree with the closed-form
   lam = 0 solution exactly, jump included.
 
-Leaves: after the t = 0 node, ABC and Caputo runs are solved in aligned
-leaves of 256 nodes, the first starting at node 1.  The nodes of one leaf
-solve z = v + A f(z), where A is the scheme's lower-triangular Toeplitz
-block for the leaf and v holds z0 and the history from earlier leaves,
-added by the doubling blocks above.  Each leaf takes Newton-type sweeps
+Leaves: after the t = 0 node, runs of every operator are solved in
+aligned leaves of 256 nodes, the first starting at node 1.  The nodes of
+one leaf solve z = v + A f(z), where A is the scheme's lower-triangular
+Toeplitz block for the leaf and v holds z0 and the history from earlier
+leaves, added by the doubling blocks above.  Each leaf takes Newton-type sweeps
 z <- G (v + A (f(z) - rho z)) with G = (I - rho A)^-1 and rho the mean
 slope of f over the leaf (Hairer, Lubich and Schlichte above; R. Garrappa,
 Mathematics 6, 2018, 16).  G is lower-triangular Toeplitz too: its first
@@ -90,20 +95,19 @@ within a pinned count at their rate of contraction, when a node is not
 positive beyond that rounding error, or when f sums to overflow over the
 leaf.  The step loop then solves the rejected leaf from the same history
 and the next leaf is tried again, so every failure reports the loop's
-message and step.  CFC runs always take the loop.  ``Trajectory.stats``
-counts the nodes each route solved, the sweeps, the rejected leaves and
-the inverses built.
+message and step.  ``Trajectory.stats`` counts the nodes each route
+solved, the sweeps, the rejected leaves and the inverses built.
 
 Stacks: runs that differ only in the constant forcing, as the stability
 probe's do, are solved as one stack by ``solve(..., forcing=(e_1, ...,
 e_P))``; a float forcing is the P = 1 case, kept on 1-d arrays.  The rows
 share the scheme, the lag weights and each leaf's elementwise sweep work,
-and a history block is one 2-d FFT.  Each row keeps its own rho and G,
-its own rebuild decision and stop test, and a row that stops keeps its
-iterate while the others sweep on; so every row is its own solve bit for
-bit.  Node 0, a rejected leaf and CFC runs take the step loop one row at
-a time, and a failing stack raises the error that solving its rows one
-by one would meet first.  Each leaf product is the first half of a full
+and a history block is one 2-d FFT (one sum per row for CFC).  Each row
+keeps its own rho and G, its own rebuild decision and stop test, and a
+row that stops keeps its iterate while the others sweep on; so every row
+is its own solve bit for bit.  Node 0 and a rejected leaf take the step loop one row at a time,
+and a failing stack raises the error that solving its rows one by one
+would meet first.  Each leaf product is the first half of a full
 convolution, taken from the correlation that np.convolve makes, without
 that function's argument checks.
 
@@ -137,9 +141,10 @@ __all__ = [
     "compare_operators",
 ]
 
-# Longer runs are refused up front: 2e6 ABC or Caputo steps take 3-6 s
-# (1.8 s at lam = 0) and 206 MB on a 2-vCPU Xeon, 2e6 CFC steps 3 s and
-# 75 MB, and time and memory grow slightly faster than M.
+# Longer runs are refused up front: at the compare defaults (mu = 0.9,
+# lam = 1) 2e6 steps take 2.4-3.7 s and 205 MB for ABC or Caputo, and
+# 1.3-1.4 s and 198 MB for CFC, on a 2-vCPU Xeon; time and memory grow
+# slightly faster than M.
 _MAX_STEPS = 2_000_000
 # History blocks of this many nodes and more are added by FFT.
 _BLOCK = 64
@@ -239,18 +244,22 @@ class OperatorComparison(NamedTuple):
     caputo: Trajectory
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _lag_weights(mu: float, size: int) -> tuple:
     """Unscaled product-trapezoid weights of the power-law kernel, lags 0..size.
+
+    ``mu`` is the kernel exponent e; at e = 1 (CFC) the weights are the
+    trapezoid rule's, w = 2 and end = -1, up to one ulp below lag 64.
 
     Returns ``(w, end, spectra)``: ``w[m]`` weights f(t_{n-m}) in the
     history sum of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0
     term adds on top of ``w[n]`` to make the end weight.  Both are
     read-only.  ``spectra`` starts empty; :func:`solve` keeps in it the
     ``rfft`` of ``w[1:2P]`` for each FFT piece length P it uses.  The last
-    triple is kept, since a stability probe solves one (mu, size) four
-    times and an operator comparison twice; for the longest runs the
-    spectra hold about as much memory as ``w`` and ``end``.
+    two triples are kept, since a stability probe solves one (mu, size)
+    four times and an operator comparison's Caputo run reuses ABC's after
+    CFC's (1, size); for the longest runs the spectra hold about as much
+    memory as ``w`` and ``end``.
 
     With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
     p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
@@ -401,175 +410,178 @@ def solve(
         c_point, c_quad = 0.0, 1.0 / gamma_fn(e)
     else:
         c_point, c_quad = (1.0 - mu) / p.b_norm, mu / (p.b_norm * gamma_fn(e))
-    # c_hist: the weight of f(t_n) in its own quadrature; for ABC and Caputo
-    # also the scale of the lag weights w
+    # c_hist: the weight of f(t_n) in its own quadrature, and the scale of
+    # the lag weights w
     c_hist = c_quad * (h ** e / (e * (e + 1.0)))
     diag = c_point + c_hist
     f_hist = np.zeros(z.shape)
     z_rows, f_rows = z.reshape(-1, n_steps + 1), f_hist.reshape(-1, n_steps + 1)
     stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0,
                  inverses_built=0)
-    if not cfc:
-        # far[n]: history of node n from nodes before its 8-node sub-block
-        # (before its leaf, in a leaf), plus the j = 0 end correction; nodes
-        # in the sub-block are summed per step, nodes in the leaf by A.
-        w, end, spectra = _lag_weights(mu, max(n_steps + 1, _BLOCK))
-        near_w, tiles = [], {}  # the step loop's, built when it first runs
+    # far[n]: history of node n from nodes before its 8-node sub-block
+    # (before its leaf, in a leaf), plus the j = 0 end correction; nodes
+    # in the sub-block are summed per step, nodes in the leaf by A.
+    w, end, spectra = _lag_weights(e, max(n_steps + 1, _BLOCK))
+    near_w, tiles = [], {}  # the step loop's, built when it first runs
 
-        def add_far(n: int, fh: np.ndarray, fr: np.ndarray) -> None:
-            """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n.
+    def add_far(n: int, fh: np.ndarray, fr: np.ndarray) -> None:
+        """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n.
 
-            ``fh`` and ``fr`` are one row's f and far, or a stack's (L >= _BLOCK).
-            """
-            size = n & -n
-            count = min(size, n_steps + 1 - n)
-            if size < _BLOCK:
-                fr[n:n + count] += tiles[size][:count] @ fh[n - size:n]
-                return
-            # Sources go in pieces of P >= count nodes (at most 8 pieces), so
-            # a block that runs past the last node needs no full-size FFT.
-            # A piece ending off nodes before n reaches its targets through
-            # lags off+1 .. off+2P-1; length 2P keeps the wrap-around in
-            # discarded entries.
-            piece = max(size >> 3, min(size, 1 << (count - 1).bit_length()))
-            for start in range(n - size, n, piece):
-                off = n - start - piece
-                if off:
-                    spec = np.fft.rfft(w[off + 1:off + 2 * piece], 2 * piece)
-                else:
-                    spec = spectra.get(piece)
-                    if spec is None:
-                        spec = spectra[piece] = np.fft.rfft(w[1:2 * piece], 2 * piece)
-                conv = np.fft.irfft(np.fft.rfft(fh[..., start:start + piece], 2 * piece)
-                                    * spec, 2 * piece)
-                fr[..., n:n + count] += conv[..., piece - 1:piece - 1 + count]
+        ``fh`` and ``fr`` are one row's f and far, or a stack's (L >= _BLOCK).
+        """
+        size = n & -n
+        count = min(size, n_steps + 1 - n)
+        if cfc:  # a constant kernel: every lag weight is 2
+            fr[..., n:n + count] += 2.0 * fh[..., n - size:n].sum(axis=-1, keepdims=True)
+            return
+        if size < _BLOCK:
+            fr[n:n + count] += tiles[size][:count] @ fh[n - size:n]
+            return
+        # Sources go in pieces of P >= count nodes (at most 8 pieces), so
+        # a block that runs past the last node needs no full-size FFT.
+        # A piece ending off nodes before n reaches its targets through
+        # lags off+1 .. off+2P-1; length 2P keeps the wrap-around in
+        # discarded entries.
+        piece = max(size >> 3, min(size, 1 << (count - 1).bit_length()))
+        for start in range(n - size, n, piece):
+            off = n - start - piece
+            if off:
+                spec = np.fft.rfft(w[off + 1:off + 2 * piece], 2 * piece)
+            else:
+                spec = spectra.get(piece)
+                if spec is None:
+                    spec = spectra[piece] = np.fft.rfft(w[1:2 * piece], 2 * piece)
+            conv = np.fft.irfft(np.fft.rfft(fh[..., start:start + piece], 2 * piece)
+                                * spec, 2 * piece)
+            fr[..., n:n + count] += conv[..., piece - 1:piece - 1 + count]
 
-        # The nodes of one leaf solve F(z) = z - v - A f(z) = 0, with A lower-
-        # triangular Toeplitz, A[i, j] = a_col[i - j], and v holding z0 and
-        # the history from before the leaf.
-        size = min(_LEAF, n_steps)
-        a_col = c_hist * w[:size]
-        a_col[0] = diag
-        a_sum = np.cumsum(a_col)  # A times (1, 1, 1, ...)
-        a_key = a_col.tobytes()  # the scheme, for the inverses' cache
-        rung = _RHO_MOVE / a_sum[-1]  # a_sum[-1] = ||A||_1
+    # The nodes of one leaf solve F(z) = z - v - A f(z) = 0, with A lower-
+    # triangular Toeplitz, A[i, j] = a_col[i - j], and v holding z0 and
+    # the history from before the leaf.
+    size = min(_LEAF, n_steps)
+    a_col = c_hist * w[:size]
+    a_col[0] = diag
+    a_sum = np.cumsum(a_col)  # A times (1, 1, 1, ...)
+    a_key = a_col.tobytes()  # the scheme, for the inverses' cache
+    rung = _RHO_MOVE / a_sum[-1]  # a_sum[-1] = ||A||_1
 
-        def build(rho: float) -> _Inverse:
-            """The leaf inverse at rho, counting the builds."""
-            built = _leaf_inverse.cache_info().misses
-            inverse = _leaf_inverse(a_key, rho, bool(lam))
-            stats["inverses_built"] += _leaf_inverse.cache_info().misses - built
-            return inverse
+    def build(rho: float) -> _Inverse:
+        """The leaf inverse at rho, counting the builds."""
+        built = _leaf_inverse.cache_info().misses
+        inverse = _leaf_inverse(a_key, rho, bool(lam))
+        stats["inverses_built"] += _leaf_inverse.cache_info().misses - built
+        return inverse
 
-        def leaf(s: int, stop: int) -> list:
-            """Solve nodes s .. stop-1 of every row in sweeps; the rows rejected.
+    def leaf(s: int, stop: int) -> list:
+        """Solve nodes s .. stop-1 of every row in sweeps; the rows rejected.
 
-            Each sweep takes z <- G (v + A (f(z) - rho z)), a Newton-type step
-            with the Jacobian of f replaced by rho I, summed as v + GA (f(z)
-            + rho (v - z)), since G = I + rho GA.  rho is the mean slope of f
-            along a uniform shift of the leaf's first iterate; G is rebuilt
-            when rho moves, on the rung nearest rho unless the slopes cluster
-            within half a rung.  The first iterate G (v + q A 1) holds
-            f - rho z at q, its value at the last node.  At lam = 0, f - rho z
-            is the forcing, so the first iterate is the solution: the leaf's one
-            sweep only evaluates f there.
-            A row stops sweeping when its sweeps stop contracting, or their
-            rate would need more than _SWEEPS, and keeps its iterate and f from
-            then on; its leaf is rejected unless the sweeps converged.  The
-            rows share the elementwise work; each takes its own G.
-            """
-            cnt = stop - s
-            v = z0 + c_hist * far[..., s:stop]
-            if s == 1:  # node 0's lags, which the step loop sums as near ones
-                v += c_hist * w[1:stop] * f_hist[..., :1]
-            # zd, the delayed values: lam = 0 feeds back the datum, lam = 1
-            # the iterate itself, and other lam interpolate z
-            zd, shift = z0, (1.0 if lam == 1.0 else 0.0)
-            if 0.0 < lam < 1.0:
-                idx = np.arange(s, stop)
-                pos = lam * idx  # the step loop's arithmetic
-                j = pos.astype(np.intp)
-                theta = pos - j
-                j1 = j + 1  # <= n, as lam < 1
-                shift = (1.0 - theta) * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
-            vq = v + column([f_rows[i, s - 1] - inv.rho * z_rows[i, s - 1]
-                             for i, inv in enumerate(lin)]) * a_sum[:cnt]
-            zl = by_row(lambda i, q: _lower(lin[i].g, q), vq)
-            going = range(len(lin))  # the rows still sweeping
-            worst, done = [math.inf if lam else 0.0] * len(lin), [0] * len(lin)
-            for sweep in range(1, _SWEEPS + 1):
-                if lam == 1.0:  # (1 - 0) z_n + 0 z_n, as interpolated: nan where z_n = inf
-                    zd = zl + 0.0 * zl
-                elif lam:
-                    z[..., s:stop] = zl
-                    zd = (1.0 - theta) * z.take(j, axis=-1) + theta * z.take(j1, axis=-1)
-                fl = logistic_rhs(p, zl, zd, f_col)
-                if sweep == 1:
-                    if lam:
-                        # the slope of each f_n along a uniform shift of the
-                        # leaf.  G is rebuilt at their mean only where they
-                        # cluster: built at the mean of slopes that spread
-                        # over 1e30 (a first iterate that overshoots), G would
-                        # barely move the nodes while the sweeps stall, and
-                        # pass the stop test
-                        slopes = r * (1.0 - (zd + shift * zl) / k)
-                        mean = slopes.sum(axis=-1, keepdims=True) / cnt  # as .mean()
-                        spread = np.abs(slopes - mean).max(axis=-1).reshape(-1).tolist()
-                        for i, at, by in zip(going, mean.ravel().tolist(), spread):
-                            if abs(at - lin[i].rho) > max(_RHO_MOVE / lin[i].ga_norm, by):
-                                if by > 0.5 * rung:  # the rung slows sweeps little
-                                    at = np.rint(at / rung) * rung
-                                lin[i] = build(at)
-                    # four times the rounding error of the two sums
-                    tol = 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].g_abs, q), np.abs(vq))
-                    if not lam:
-                        done = [1] * len(lin)
-                        break
-                    rho = column([inv.rho for inv in lin])
-                    tol += 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].ga_abs, q),
-                                               np.abs(fl) + np.abs(rho * (v - zl)))
-                # a row that stopped keeps zl, whatever its zn
-                zn = v + by_row(lambda i, q: _lower(lin[i].ga, q) if i in going else q,
-                                fl + rho * (v - zl))
-                ratio = (np.abs(zn - zl) / tol).max(axis=-1).reshape(-1).tolist()
-                # a row stops at convergence, or when the rate of contraction
-                # says its sweeps would not get there
-                for i in going:
-                    last, worst[i] = worst[i], ratio[i]
-                    if (not 1.0 < worst[i] < last
-                            or sweep + math.log(worst[i]) / math.log(last / worst[i]) > _SWEEPS):
-                        done[i] = sweep
-                going = [i for i in going if not done[i]]
-                if len(going) == len(lin):
-                    zl = zn
-                elif not going:
+        Each sweep takes z <- G (v + A (f(z) - rho z)), a Newton-type step
+        with the Jacobian of f replaced by rho I, summed as v + GA (f(z)
+        + rho (v - z)), since G = I + rho GA.  rho is the mean slope of f
+        along a uniform shift of the leaf's first iterate; G is rebuilt
+        when rho moves, on the rung nearest rho unless the slopes cluster
+        within half a rung.  The first iterate G (v + q A 1) holds
+        f - rho z at q, its value at the last node.  At lam = 0, f - rho z
+        is the forcing, so the first iterate is the solution: the leaf's one
+        sweep only evaluates f there.
+        A row stops sweeping when its sweeps stop contracting, or their
+        rate would need more than _SWEEPS, and keeps its iterate and f from
+        then on; its leaf is rejected unless the sweeps converged.  The
+        rows share the elementwise work; each takes its own G.
+        """
+        cnt = stop - s
+        v = z0 + c_hist * far[..., s:stop]
+        if s == 1:  # node 0's lags, which the step loop sums as near ones
+            v += c_hist * w[1:stop] * f_hist[..., :1]
+        # zd, the delayed values: lam = 0 feeds back the datum, lam = 1
+        # the iterate itself, and other lam interpolate z
+        zd, shift = z0, (1.0 if lam == 1.0 else 0.0)
+        if 0.0 < lam < 1.0:
+            idx = np.arange(s, stop)
+            pos = lam * idx  # the step loop's arithmetic
+            j = pos.astype(np.intp)
+            theta = pos - j
+            j1 = j + 1  # <= n, as lam < 1
+            shift = (1.0 - theta) * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
+        vq = v + column([f_rows[i, s - 1] - inv.rho * z_rows[i, s - 1]
+                         for i, inv in enumerate(lin)]) * a_sum[:cnt]
+        zl = by_row(lambda i, q: _lower(lin[i].g, q), vq)
+        going = range(len(lin))  # the rows still sweeping
+        worst, done = [math.inf if lam else 0.0] * len(lin), [0] * len(lin)
+        for sweep in range(1, _SWEEPS + 1):
+            if lam == 1.0:  # (1 - 0) z_n + 0 z_n, as interpolated: nan where z_n = inf
+                zd = zl + 0.0 * zl
+            elif lam:
+                z[..., s:stop] = zl
+                zd = (1.0 - theta) * z.take(j, axis=-1) + theta * z.take(j1, axis=-1)
+            fl = logistic_rhs(p, zl, zd, f_col)
+            if sweep == 1:
+                if lam:
+                    # the slope of each f_n along a uniform shift of the
+                    # leaf.  G is rebuilt at their mean only where they
+                    # cluster: built at the mean of slopes that spread
+                    # over 1e30 (a first iterate that overshoots), G would
+                    # barely move the nodes while the sweeps stall, and
+                    # pass the stop test
+                    slopes = r * (1.0 - (zd + shift * zl) / k)
+                    mean = slopes.sum(axis=-1, keepdims=True) / cnt  # as .mean()
+                    spread = np.abs(slopes - mean).max(axis=-1).reshape(-1).tolist()
+                    for i, at, by in zip(going, mean.ravel().tolist(), spread):
+                        if abs(at - lin[i].rho) > max(_RHO_MOVE / lin[i].ga_norm, by):
+                            if by > 0.5 * rung:  # the rung slows sweeps little
+                                at = np.rint(at / rung) * rung
+                            lin[i] = build(at)
+                # four times the rounding error of the two sums
+                tol = 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].g_abs, q), np.abs(vq))
+                if not lam:
+                    done = [1] * len(lin)
                     break
-                else:
-                    zl[going] = zn[going]
-            stats["sweeps"] += sum(done)
-            stats["max_sweeps"] = max(stats["max_sweeps"], *done)
-            z[..., s:stop] = zl  # lam = 1 and lam = 0 leave it to here
-            f_hist[..., s:stop] = fl  # the step loop overwrites a rejected leaf
-            # a node within the rounding error of its sums may have either
-            # sign, and the step loop's sums over a leaf whose f sums to
-            # overflow may overflow before the leaf's nodes do: the loop
-            # decides both
-            ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf))
-            ok = ok.reshape(-1).tolist()
-            return [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
+                rho = column([inv.rho for inv in lin])
+                tol += 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].ga_abs, q),
+                                           np.abs(fl) + np.abs(rho * (v - zl)))
+            # a row that stopped keeps zl, whatever its zn
+            zn = v + by_row(lambda i, q: _lower(lin[i].ga, q) if i in going else q,
+                            fl + rho * (v - zl))
+            ratio = (np.abs(zn - zl) / tol).max(axis=-1).reshape(-1).tolist()
+            # a row stops at convergence, or when the rate of contraction
+            # says its sweeps would not get there
+            for i in going:
+                last, worst[i] = worst[i], ratio[i]
+                if (not 1.0 < worst[i] < last
+                        or sweep + math.log(worst[i]) / math.log(last / worst[i]) > _SWEEPS):
+                    done[i] = sweep
+            going = [i for i in going if not done[i]]
+            if len(going) == len(lin):
+                zl = zn
+            elif not going:
+                break
+            else:
+                zl[going] = zn[going]
+        stats["sweeps"] += sum(done)
+        stats["max_sweeps"] = max(stats["max_sweeps"], *done)
+        z[..., s:stop] = zl  # lam = 1 and lam = 0 leave it to here
+        f_hist[..., s:stop] = fl  # the step loop overwrites a rejected leaf
+        # a node within the rounding error of its sums may have either
+        # sign, and the step loop's sums over a leaf whose f sums to
+        # overflow may overflow before the leaf's nodes do: the loop
+        # decides both
+        ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf))
+        ok = ok.reshape(-1).tolist()
+        return [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
 
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
     # keeps its pointwise f term (the jump amplitude on linear problems);
-    # CFC's f(t) - f(0) term vanishes there.  The loop reads and writes a
-    # row's z and f_hist through memoryviews, which give Python floats, and
-    # calls numpy only where a node starts an 8-node sub-block.
+    # CFC's f(t) - f(0) term vanishes there.  The loop serves node 0 and
+    # rejected leaves.  It reads and writes a row's z and f_hist through
+    # memoryviews, which give Python floats, and calls numpy only where a
+    # node starts an 8-node sub-block.
 
     def steps(i: int, lo: int, hi: int) -> None:
         """Solve row i's nodes lo .. hi-1 one at a time; lo is 0, 1 or a leaf boundary."""
         zs, fs, forcing = z_rows[i].data, f_rows[i].data, row_forcing[i]
         base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
         zn = zs[lo - 1] if lo else z0  # the previous node's value
-        if lo and not cfc:
+        if lo:
             if not near_w:
                 # near_w[s][i] = w[s - i]; blocks of 8, 16 and 32 nodes go
                 # through dense Toeplitz matrices, tiles[L][i, j] = w[L + i - j],
@@ -584,18 +596,11 @@ def solve(
         for n in range(lo, hi):
             if n:  # the history of node n
                 d = diag
-                if cfc:  # fn is f(t_{n-1})
-                    if n > 1:  # quadrature over completed cells
-                        integral += 0.5 * h * (fs[n - 2] + fn)
-                    else:
-                        base0, integral = z0 - c_point * fn, 0.0
-                    base = base0 + c_quad * (integral + 0.5 * h * fn)
-                else:
-                    sub = n & 7
-                    if not sub and n > lo:  # n starts a sub-block
-                        add_far(n, fh, fr)
-                        far_blk = fr[n:n + 8].tolist()
-                    base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[n - sub:n])))
+                sub = n & 7
+                if not sub and n > lo:  # n starts a sub-block
+                    add_far(n, fh, fr)
+                    far_blk = fr[n:n + 8].tolist()
+                base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[n - sub:n])))
             # delayed value a + b * z_n
             if lam == 0.0:
                 a, b = z0, 0.0
@@ -644,26 +649,26 @@ def solve(
             zs[n] = zn
             fs[n] = fn
 
-    # ABC and Caputo solve node 0 by the step, then aligned leaves of _LEAF
-    # nodes from node 1; a row whose leaf is rejected solves it by the step
-    # loop.  CFC rows take the loop throughout.
+    # Node 0 is solved by the step, then aligned leaves of _LEAF nodes from
+    # node 1; a row whose leaf is rejected solves it by the step loop.
     try:
         for row in range(len(z_rows)):
-            steps(row, 0, n_steps + 1 if cfc else 1)
-        if not cfc:
-            far = end * f_hist[..., :1]
-            # f's slope at node 0: the datum feeds back at lam = 0; otherwise
-            # z(lam t) moves with z, as it does inside the first leaf
-            lin = [build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * start) / k))
-                   for start in z_rows[:, 0].tolist()]
-            for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
-                stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
-                rejected = leaf(s, stop)
-                stats["rejected_leaves"] += len(rejected)
-                for row in rejected:
-                    steps(row, s, stop)
-                if stop <= n_steps:
-                    add_far(stop, f_hist, far)
+            steps(row, 0, 1)
+        # CFC's pointwise term c_point (f(t) - f(0)) puts -c_point f(0) in
+        # every node's history
+        far = (end - c_point / c_hist if cfc else end) * f_hist[..., :1]
+        # f's slope at node 0: the datum feeds back at lam = 0; otherwise
+        # z(lam t) moves with z, as it does inside the first leaf
+        lin = [build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * start) / k))
+               for start in z_rows[:, 0].tolist()]
+        for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
+            stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
+            rejected = leaf(s, stop)
+            stats["rejected_leaves"] += len(rejected)
+            for row in rejected:
+                steps(row, s, stop)
+            if stop <= n_steps:
+                add_far(stop, f_hist, far)
     except SolverError:
         if row:  # solved one at a time, an earlier row might fail first
             solve(params, cfg, forcing=forcing[:row], pantograph=pantograph)

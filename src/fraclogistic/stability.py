@@ -16,6 +16,14 @@ call; each row is the run its own solve would give.  The deviation is
 the largest over the grid nodes up to t_end and over t_end itself, where
 the gap is interpolated linearly as the CLI interpolates a trajectory, so
 a horizon between two nodes is not measured at the node past it.
+
+The gap is the difference of two states of size up to z_max, the largest
+state of the stack at the nodes the deviation reads, so it carries an
+absolute rounding error of a few eps z_max: the rounding floor 4 eps z_max that :func:`solve` names for a
+non-positive state.  A deviation within _FLOOR_MULTIPLE floors of 0 is
+refused with :class:`ConvergenceError`, since it would give c from
+rounding.  At eps = 1e-12 a deviation of about 600 floors already puts c
+1e-4 off.
 """
 
 from __future__ import annotations
@@ -25,10 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .model import ModelParams
 from .solvers import SolveConfig, solve
 
 __all__ = ["StabilityReport", "hyers_ulam_probe"]
+
+_FLOOR_MULTIPLE = 1e3
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,10 @@ def hyers_ulam_probe(params: ModelParams, cfg: SolveConfig, epsilons) -> Stabili
     At lam = 0 the model is linear in z and the forcing, so the deviation
     is proportional to eps and every eps gives the same estimate up to
     rounding.
+
+    Raises :class:`ConvergenceError` when a deviation is no larger than
+    ``_FLOOR_MULTIPLE`` times the rounding floor ``4 eps z_max``; its
+    ``ratio`` is the deviation over the floor.
     """
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
@@ -70,6 +85,12 @@ def hyers_ulam_probe(params: ModelParams, cfg: SolveConfig, epsilons) -> Stabili
     nodes = int(cfg.t_end / cfg.h + 1e-9) + 1
     deviations = [max(float(gap[:nodes].max()), float(np.interp(cfg.t_end, runs.grid, gap)))
                   for gap in np.abs(runs.values[1:] - runs.values[0])]
+    floor = 4.0 * np.finfo(float).eps * float(runs.values[:, :nodes + 1].max())
+    for eps, dev in zip(eps_list, deviations):
+        if dev <= _FLOOR_MULTIPLE * floor:
+            raise ConvergenceError(
+                f"the deviation {dev:.3g} at epsilon {eps:g} is within {_FLOOR_MULTIPLE:g} "
+                f"times the rounding floor 4 eps z_max = {floor:.3g}", ratio=dev / floor)
     ratios = [dev / eps for dev, eps in zip(deviations, eps_list)]
     return StabilityReport(
         epsilons=tuple(eps_list),

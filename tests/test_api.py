@@ -13,15 +13,16 @@ from fraclogistic import (
     stability,
 )
 
-# 40 names: ADOMIAN_MODES went when lam = 1 became the one spelling of the
-# undelayed Adomian square, so no mode is left to name
+# 39 names: ADOMIAN_MODES went when lam = 1 became the one spelling of the
+# undelayed Adomian square, so no mode is left to name; classical_fixed_points
+# went because it returned a constant list that no route used
 PUBLIC = {
     "ConvergenceError", "FracSeries", "GeometricForm",
     "HSV_SOLVER_AGREEMENT_RTOL", "HsvEvaluation", "HsvSolution", "ModelParams",
     "OperatorComparison", "OperatorKind", "SingularParameterError", "SolveConfig",
     "SolverError", "StabilityReport", "SumuduSeries", "Trajectory",
     "abc_exact_lambda0", "adomian_delayed_product", "classical_exact",
-    "classical_fixed_points", "compare_operators", "delay_rescale", "eval_series",
+    "compare_operators", "delay_rescale", "eval_series",
     "gamma_fn", "geometric_closed_form", "geometric_gap", "hsv_evaluate",
     "hsv_iterate", "hyers_ulam_probe", "kernel_multiply", "lambda0_amplitude",
     "logistic_rhs", "mittag_leffler", "psi_kernel", "series_add", "series_product",
@@ -41,7 +42,7 @@ def test_every_name_resolves():
 
 
 def test_public_name_set():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 39
     assert set(fraclogistic.__all__) == PUBLIC
 
 

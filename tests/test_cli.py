@@ -475,6 +475,29 @@ class TestExitCodes:
         assert re.fullmatch(rf"error: non-positive state \S+ at step {step}, within 4 eps "
                             r"z_max of 0: the integral form's rounding floor\n", err)
 
+    def test_cfc_rounding_floor_is_named(self, capsys):
+        # z decays from 10 to about 2e-17 at t = 2, below what the integral
+        # form resolves; a value frozen at the floor, such as 3.02e-15 for
+        # t = 2 .. 5, would be a plausible wrong answer
+        code, out, err = run_cli(capsys, "solve", "--operator", "cfc", "--lambda", "0",
+                                 "--r", "20", "--mu", "0.9", "--t-end", "5", "--h", "0.01",
+                                 "--points", "6")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error: non-positive state \S+ at step 184, within 4 eps "
+                            r"z_max of 0: the integral form's rounding floor\n", err)
+
+    def test_stability_deviation_at_the_rounding_floor(self, capsys):
+        # a deviation of 1.78e-14 against a floor of 1.8e-14 (4 eps z_max)
+        # would give c = 17.76 against 11.40 at eps = 1e-4, though at lam = 0
+        # every eps gives one c; at lam = 0.5, 12.79 against 12.15
+        for argv, eps in ((("--lambda", "0", "--epsilons", "1e-15,1e-4"), "1e-15"),
+                          (("--operator", "caputo", "--lambda", "0.5",
+                            "--epsilons", "1e-14,1e-4"), "1e-14")):
+            code, out, err = run_cli(capsys, "stability", *argv)
+            assert (code, out) == (3, "")
+            assert re.fullmatch(rf"error: the deviation \S+ at epsilon {eps} is within 1000 "
+                                r"times the rounding floor 4 eps z_max = \S+\n", err)
+
     def test_failure_far_from_the_rounding_floor(self, capsys):
         # a root far below 0 is a failure of the scheme, not of rounding
         code, _, err = run_cli(capsys, "solve", "--operator", "caputo", "--mu", "0.5",

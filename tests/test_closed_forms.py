@@ -11,7 +11,6 @@ from fraclogistic import (
     SolveConfig,
     abc_exact_lambda0,
     classical_exact,
-    classical_fixed_points,
     lambda0_amplitude,
     solve,
 )
@@ -97,16 +96,9 @@ class TestClassical:
 
 
 class TestFixedPoints:
-    def test_classification(self):
-        assert classical_fixed_points(P) == [(0.0, "unstable"), (100.0, "stable")]
-
     def test_numerical_attraction(self):
         p = ModelParams(r=0.8, k=100.0, z0=10.0, mu=1.0, lam=1.0)
         assert abs(classical_exact(p, 50.0 / p.r) - p.k) < 1e-6 * p.k
-
-    def test_decay_case_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            classical_fixed_points(ModelParams(r=-1.0, k=100.0, z0=10.0, mu=1.0, lam=1.0))
 
 
 class TestLambdaZeroForm:

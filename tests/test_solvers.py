@@ -171,7 +171,7 @@ class TestBasicBehaviour:
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_one_rhs_call_per_node(self, monkeypatch, operator):
         # one call per node the step solves (node 0 and the loop's nodes),
-        # one per leaf sweep; CFC steps through every node
+        # one per leaf sweep, for every operator
         calls = []
 
         def counted(*args):
@@ -187,12 +187,10 @@ class TestBasicBehaviour:
             assert len(traj.values) == steps + 1
             assert len(calls) <= 1 + stats["loop_nodes"] + stats["sweeps"]
             assert stats["leaf_nodes"] + stats["loop_nodes"] == steps
-            if operator == "cfc":
-                assert len(calls) == steps + 1
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_lambda_zero_rhs_calls(self, monkeypatch, operator):
-        # lam = 0 ABC and Caputo runs evaluate f once at t = 0 and once per leaf
+        # lam = 0 runs evaluate f once at t = 0 and once per leaf
         calls = []
 
         def counted(*args):
@@ -206,10 +204,7 @@ class TestBasicBehaviour:
             p = ModelParams(r=r, k=100.0, z0=10.0, mu=0.9, lam=0.0)
             calls.clear()
             solve(p, SolveConfig(operator=operator, t_end=steps * h, h=h))
-            if operator == "cfc":
-                assert len(calls) == steps + 1
-            else:
-                assert len(calls) <= 1 + -(-(steps + 1) // _LEAF)
+            assert len(calls) <= 1 + -(-(steps + 1) // _LEAF)
 
     @pytest.mark.parametrize("operator", ["abc", "caputo"])
     def test_lambda_zero_fallback_after_accepted_leaves(self, monkeypatch, operator):
@@ -286,15 +281,14 @@ class TestBasicBehaviour:
         assert np.mean(np.abs(traj.values - exact) / np.spacing(exact)) < 0.8
 
     def test_default_compare_solves_in_leaves(self):
-        # the CLI's compare defaults: every ABC and Caputo node after node 0
-        # comes from a leaf
+        # the CLI's compare defaults: every node after node 0 comes from a
+        # leaf, for every operator
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
         trio = compare_operators(p, SolveConfig(operator="abc", t_end=10.0, h=0.01))
-        for traj in (trio.abc, trio.caputo):
+        for traj in trio:
             assert traj.stats["leaf_nodes"] == 1000
             assert traj.stats["loop_nodes"] == traj.stats["rejected_leaves"] == 0
             assert 1 <= traj.stats["max_sweeps"] <= 12
-        assert trio.cfc.stats["loop_nodes"] == 1000
 
     def test_grid_metadata(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=1.0)
@@ -393,12 +387,17 @@ class TestReferenceEquivalence:
             ref = reference_solve(p, cfg, pantograph=pantograph)
             assert max_rel(got, ref) <= 1e-12
 
-    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_long_run(self, operator, lam):
         # 16 leaves, whose history enters through FFT blocks of up to 2048
-        # nodes
-        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
+        # nodes, or for CFC's constant kernel through sums.  CFC at mu = 0.7,
+        # r = 0.3, lam = 0.5 overshoots to 267 and decays to 0.08, which
+        # amplifies rounding: the step loop alone sits 9.8e-13 relative from
+        # the reference there.  At mu = 0.9, r = 0.1 it peaks at 97 or 290
+        # and stays above 10
+        mu, r = (0.9, 0.1) if operator == "cfc" else (0.7, 0.3)
+        p = ModelParams(r=r, k=100.0, z0=10.0, mu=mu, lam=lam)
         h = 2.0 ** -6
         cfg = SolveConfig(operator=operator, t_end=4096 * h, h=h)
         traj = solve(p, cfg)
@@ -512,7 +511,8 @@ class TestLagWeights:
     # 1/m series), then decades up to the largest step count
     LAGS = [*range(1, 300), 10**3, 2 * 10**4, 10**5, 10**6, _MAX_STEPS - 1, _MAX_STEPS]
 
-    @pytest.mark.parametrize("mu", [0.3, 0.9])
+    # mu = 1 is CFC's kernel exponent, where the weights are the trapezoid rule's
+    @pytest.mark.parametrize("mu", [0.3, 0.9, 1.0])
     def test_against_extended_precision(self, mu):
         w, end, _ = _lag_weights(mu, _MAX_STEPS)
         ref_w, ref_end = exact_lag_weights(mu, self.LAGS)
@@ -570,7 +570,7 @@ class TestStacks:
         del stats["inverses_built"]  # the rows share their builds
         assert stats.items() <= stack.stats.items()
 
-    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_rejected_leaves(self, operator):
         # at r = 2 some leaves are handed to the step loop (see
         # test_rejected_leaf_hands_over_to_the_loop); the other rows sweep on
