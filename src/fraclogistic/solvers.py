@@ -143,8 +143,8 @@ __all__ = [
 
 # Longer runs are refused up front: at the compare defaults (mu = 0.9,
 # lam = 1) 2e6 steps take 2.4-3.7 s and 205 MB for ABC or Caputo, and
-# 1.3-1.4 s and 198 MB for CFC, on a 2-vCPU Xeon; time and memory grow
-# slightly faster than M.
+# 1.4-1.9 s and 91 MB for CFC (198 MB with CFC's lag weights built M
+# long), on a 2-vCPU Xeon; time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
 # History blocks of this many nodes and more are added by FFT.
 _BLOCK = 64
@@ -258,8 +258,8 @@ def _lag_weights(mu: float, size: int) -> tuple:
     ``rfft`` of ``w[1:2P]`` for each FFT piece length P it uses.  The last
     two triples are kept, since a stability probe solves one (mu, size)
     four times and an operator comparison's Caputo run reuses ABC's after
-    CFC's (1, size); for the longest runs the spectra hold about as much
-    memory as ``w`` and ``end``.
+    CFC's (1, at most _LEAF); for the longest runs the spectra hold about
+    as much memory as ``w`` and ``end``.
 
     With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
     p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
@@ -421,7 +421,10 @@ def solve(
     # far[n]: history of node n from nodes before its 8-node sub-block
     # (before its leaf, in a leaf), plus the j = 0 end correction; nodes
     # in the sub-block are summed per step, nodes in the leaf by A.
-    w, end, spectra = _lag_weights(e, max(n_steps + 1, _BLOCK))
+    # CFC reads w only in the leaves and the step loop's near lags (add_far
+    # sums its blocks without w), so its weights stop at lag _LEAF.
+    lags = max(n_steps + 1, _BLOCK)
+    w, end, spectra = _lag_weights(e, min(lags, _LEAF) if cfc else lags)
     near_w, tiles = [], {}  # the step loop's, built when it first runs
 
     def add_far(n: int, fh: np.ndarray, fr: np.ndarray) -> None:
@@ -655,8 +658,11 @@ def solve(
         for row in range(len(z_rows)):
             steps(row, 0, 1)
         # CFC's pointwise term c_point (f(t) - f(0)) puts -c_point f(0) in
-        # every node's history
-        far = (end - c_point / c_hist if cfc else end) * f_hist[..., :1]
+        # every node's history.  Only CFC's weights stop short of the last
+        # node, where its end weight is exactly -1 (from lag _SERIES_LAG on).
+        far = np.full((*forcing.shape, max(n_steps + 1, len(end))), -1.0 - c_point / c_hist)
+        far[..., :len(end)] = end - c_point / c_hist if cfc else end
+        far *= f_hist[..., :1]
         # f's slope at node 0: the datum feeds back at lam = 0; otherwise
         # z(lam t) moves with z, as it does inside the first leaf
         lin = [build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * start) / k))

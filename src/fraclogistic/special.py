@@ -13,10 +13,12 @@ two and three parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53
 principal sheet, so one fixed set of nodes serves every order and argument.
 
 :func:`mittag_leffler` takes a float or a whole 1-d array of arguments and
-evaluates every point of one route together: the series a block of terms
-at a time for all points, the contour a chunk of points at a time for all
-55 nodes.  Each point's arithmetic does not depend on the other points, so
-an array gives exactly the values of one scalar call per point.
+evaluates every point of one route together.  The series goes one term at
+a time across all points while more than ``_CELLS // _BLOCK`` (1024) are
+left, then a block of terms at a time for the rest; the contour goes a
+chunk of points at a time for all 55 nodes.  Each point's arithmetic does
+not depend on the other points, so an array gives exactly the values of one
+scalar call per point.
 """
 
 from __future__ import annotations
@@ -149,6 +151,8 @@ def _contour(mu: float, x: np.ndarray) -> np.ndarray:
     chunk = _CELLS // len(_WEIGHTS)
     for lo in range(0, len(x), chunk):
         part = _WEIGHTS[:, None] * (s_mu / (s_mu - x[lo:lo + chunk]))
+        # in node order: part.sum(axis=0) sums pairwise, which would give a
+        # one-point chunk, so a scalar call, other values than an array
         out[lo:lo + chunk] = np.cumsum(part, axis=0)[-1].real
     # E_mu(x) lies in (0, 1] for x < 0; the rounding error of about 2e-15
     # would otherwise push tiny arguments just above 1.
@@ -158,17 +162,23 @@ def _contour(mu: float, x: np.ndarray) -> np.ndarray:
 def _series(mu: float, x: np.ndarray) -> np.ndarray:
     """Compensated summation of the defining series, x > 0.
 
-    Terms are formed a block at a time, row n - first of a (block, points)
-    matrix, with one ``np.exp`` per block; a block starts at ``_BLOCK``
-    terms and doubles, capped at ``_CELLS`` terms over the points left.
-    The running sums are a plain cumulative sum; their rounding errors are
-    recovered exactly (Fast2Sum on the ordered pair) and summed separately
-    (Neumaier), so each point gets the same result whatever the blocks and
-    the other points.  A point stops at the first term below ``_CUTOFF``
-    of the running sum, or at the first infinite sum.  The terms are
-    log-concave in n (lgamma is convex), so up to the peak each term is at
-    least the average of the sum so far, and a term that small is past the
-    peak.
+    Two phases, switched by ``_CELLS`` and ``_BLOCK``.  While a block would
+    be thinner than ``_BLOCK`` terms, that is while more than
+    ``_CELLS // _BLOCK`` points have not stopped, each term is formed
+    across all points left, and the stopped ones are dropped in batches: a
+    wide array then needs no strided reductions down a block's columns,
+    and each point sums only the terms it needs.  After that, terms are formed a block at a
+    time, row n - first of a (block, points) matrix, with one ``np.exp`` per
+    block; a block starts at ``_BLOCK`` terms (a quarter of that after the
+    one-term phase) and doubles, capped at ``_CELLS`` terms over the points
+    left.  The running sums are a plain sum in term order; their rounding
+    errors are recovered exactly (Fast2Sum on the ordered pair) and summed
+    separately (Neumaier), so each point gets the same result whatever the
+    phases, the blocks and the other points.  A point stops at the first
+    term below ``_CUTOFF`` of the running sum, or at the first infinite sum.
+    The terms are log-concave in n (lgamma is convex), so up to the peak
+    each term is at least the average of the sum so far, and a term that
+    small is past the peak.
     """
     lx = np.log(x)
     out = np.empty(len(x))
@@ -177,6 +187,32 @@ def _series(mu: float, x: np.ndarray) -> np.ndarray:
     comp = np.zeros(len(x))
     first, size = 1, _BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
+        # one term at a time while more than _CELLS // _BLOCK points are live,
+        # where a block would be thinner than _BLOCK
+        live = len(x)
+        while live * _BLOCK > _CELLS and first <= _MAX_TERMS:
+            term = np.exp(first * lx - math.lgamma(first * mu + 1.0))
+            after = total + term
+            comp += np.minimum(total, term) - (after - np.maximum(total, term))
+            # an infinite sum stops here too
+            stop = term <= _CUTOFF * after
+            total = after
+            first += 1
+            # a stopped point's terms are exp(-inf) = 0 from here on, which
+            # leave its total and so its value as they are: the stopped points
+            # are dropped once they are half of those left, or when the rows end
+            lx[stop] = -math.inf
+            live = len(lx) - np.count_nonzero(stop)
+            if 2 * live <= len(lx) or live * _BLOCK <= _CELLS or first > _MAX_TERMS:
+                out[active[stop]] = np.where(total < math.inf, total + comp, total)[stop]
+                if not live:
+                    return out
+                keep = ~stop
+                active, lx, total, comp = active[keep], lx[keep], total[keep], comp[keep]
+        if first > 1:
+            # the points left have summed their first terms, and many need
+            # only a few more; the blocks double from there for the rest
+            size = _BLOCK // 4
         while first <= _MAX_TERMS:
             block = max(1, min(size, _CELLS // len(active), _MAX_TERMS + 1 - first))
             lg = np.array([math.lgamma(n * mu + 1.0) for n in range(first, first + block)])

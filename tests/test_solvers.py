@@ -529,6 +529,17 @@ class TestLagWeights:
         with pytest.raises(ValueError, match="read-only"):
             end[1] = 0.0
 
+    def test_cfc_builds_lags_up_to_its_leaves_only(self):
+        # CFC's history blocks are sums without w, and its end weight is
+        # exactly -1 past lag 64, so a long run needs no weights past _LEAF
+        _lag_weights.cache_clear()
+        p = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.7, lam=0.5)
+        solve(p, SolveConfig(OperatorKind.CFC, 5.0, 1e-3))
+        info = _lag_weights.cache_info()
+        w, end, _ = _lag_weights(1.0, _LEAF)
+        assert info.currsize == 1 and _lag_weights.cache_info().hits == info.hits + 1
+        assert len(w) == len(end) == _LEAF + 1
+
     def test_gauss_legendre_table(self):
         nodes, weights = np.polynomial.legendre.leggauss(12)
         assert _GL_HALF.tolist() == nodes[6:].tolist() == (-nodes[5::-1]).tolist()

@@ -9,6 +9,7 @@ from scipy.special import erfcx
 from scipy.special import gamma as scipy_gamma
 
 from fraclogistic import ConvergenceError, gamma_fn, mittag_leffler
+from fraclogistic import special
 from fraclogistic.special import time_powers
 
 
@@ -164,6 +165,23 @@ def test_ml_array_matches_scalar_exactly(mu):
     assert mittag_leffler(mu, MIXED_ARGS[order]).tolist() == values[order].tolist()
 
 
+# More than _CELLS // _BLOCK = 1024 positive arguments: the series is summed
+# one term at a time across all of them until few enough are left for blocks
+# of _BLOCK terms.  Tiny, moderate and overflowing arguments, in one array.
+WIDE_ARGS = np.concatenate((np.geomspace(1e-300, 1.0, 1500), np.linspace(0.0, 710.0, 1501)[1:]))
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.9, 0.99])
+def test_ml_wide_array_matches_scalar_exactly(mu):
+    values = mittag_leffler(mu, WIDE_ARGS)
+    # scalars take the blocks from their first term
+    expected = [mittag_leffler(mu, x) for x in WIDE_ARGS.tolist()]
+    assert values.tolist() == expected
+    assert math.inf in expected
+    order = np.random.default_rng(1).permutation(len(WIDE_ARGS))
+    assert mittag_leffler(mu, WIDE_ARGS[order]).tolist() == values[order].tolist()
+
+
 def test_ml_zero_dimensional_input_returns_float():
     for mu, x in ((0.5, 1.0), (0.5, -1.0), (1.0, 2.0), (0.7, 0.0)):
         value = mittag_leffler(mu, np.float64(x))
@@ -192,6 +210,25 @@ def test_ml_unconverged_series_in_array_raises_with_offending_argument():
     assert excinfo.value.ratio == 1.01
     # the 100000 terms are summed in blocks, not one numpy call per term
     assert time.perf_counter() - start < 1.0
+
+
+def test_ml_unconverged_series_in_wide_array_raises_with_offending_argument():
+    # the points below 1 leave the one-term rows, the one above 1 runs out
+    # of terms in the blocks
+    args = np.insert(np.linspace(0.0005, 0.9995, 2000), 700, 1.01)
+    with pytest.raises(ConvergenceError) as excinfo:
+        mittag_leffler(0.002, args)
+    assert excinfo.value.ratio == 1.01
+
+
+def test_ml_terms_run_out_in_the_one_term_rows(monkeypatch):
+    # more than 1024 points never converge, so the rows reach the term
+    # budget; the point that converged first is not the one named
+    monkeypatch.setattr(special, "_MAX_TERMS", 2000)
+    args = np.insert(np.full(1100, 1.01), 0, 0.5)
+    with pytest.raises(ConvergenceError, match="in 2000 terms at argument 1.01") as excinfo:
+        mittag_leffler(0.002, args)
+    assert excinfo.value.ratio == 1.01
 
 
 @pytest.mark.parametrize("evaluate, lo", [(lambda x: time_powers(x, 0.7), 0.0),
