@@ -11,7 +11,7 @@ P2 = 2 x0 x2 + x1^2, ...) is the ``lam = 1`` expansion; the CLI's
 
 Polynomials are built by direct double convolution of the series terms,
 which is exact for this quadratic nonlinearity.  This module is the
-reference and the public API, not the hot path:
+reference, not the hot path, and the package does not export it:
 :func:`fraclogistic.hsv.hsv_iterate` forms only the last polynomial on a
 coefficient matrix, with the same operations in the same order.
 """

@@ -7,10 +7,12 @@ class ConvergenceError(ValueError):
     """A series did not converge.
 
     Raised when the geometric-series ratio leaves the convergence region
-    |q| < 1, when the Mittag-Leffler series runs out of terms, and when a
-    stability probe's deviation sits at its rounding floor.  The offending
-    ratio, the series argument, or the deviation over the floor is kept on
-    the ``ratio`` attribute.
+    |q| < 1, when the Mittag-Leffler series runs out of terms, when the
+    ``hsv`` or ``surface`` command finds the HSV series' last term too
+    large against its sum, and when a stability probe's deviation sits at
+    its rounding floor.  The offending ratio, the series argument, the last
+    term over |z|, or the deviation over the floor is kept on the ``ratio``
+    attribute.
     """
 
     def __init__(self, message: str, ratio: float):

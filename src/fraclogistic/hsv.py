@@ -55,7 +55,6 @@ from .adomian import adomian_delayed_product  # noqa: F401
 from .errors import ConvergenceError
 from .model import ModelParams
 from .series import (  # noqa: F401
-    FracSeries,
     eval_series,
     kernel_multiply,
     series_add,
@@ -139,14 +138,13 @@ class HsvSolution:
         return self.coeffs.shape[-1] - 1
 
     @property
-    def terms(self) -> tuple:
-        """Every set's terms x_0 .. x_n as :class:`FracSeries`, in set order.
+    def terms(self) -> np.ndarray:
+        """Every set's terms x_0 .. x_n, one a row, in set order.
 
-        They are built on each access.
+        A read-only ``(P*(n+1), n+1)`` view of ``coeffs``: row p*(n+1) + i
+        holds x_i of set p, zero past column i.
         """
-        sets, coeffs = self._stack()
-        return tuple(FracSeries(p.mu, row[:i + 1])
-                     for p, c in zip(sets, coeffs) for i, row in enumerate(c))
+        return self.coeffs.reshape(-1, self.truncation + 1)
 
     def term_values(self, t) -> np.ndarray:
         """Evaluate every term at ``t``: index i holds x_i(t).

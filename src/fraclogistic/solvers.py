@@ -256,10 +256,9 @@ def _lag_weights(mu: float, size: int) -> tuple:
     term adds on top of ``w[n]`` to make the end weight.  Both are
     read-only.  ``spectra`` starts empty; :func:`solve` keeps in it the
     ``rfft`` of ``w[1:2P]`` for each FFT piece length P it uses.  The last
-    two triples are kept, since a stability probe solves one (mu, size)
-    four times and an operator comparison's Caputo run reuses ABC's after
-    CFC's (1, at most _LEAF); for the longest runs the spectra hold about
-    as much memory as ``w`` and ``end``.
+    two triples are kept, since an operator comparison's Caputo run reuses
+    ABC's after CFC's (1, at most _LEAF); for the longest runs the spectra
+    hold about as much memory as ``w`` and ``end``.
 
     With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
     p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
@@ -374,6 +373,9 @@ def solve(
 
     Raises
     ------
+    ValueError
+        If a stack's rows hold more nodes than four runs at the step limit,
+        ``P * (M+1) > 4 * (_MAX_STEPS + 1)``; checked before any allocation.
     SolverError
         If an implicit step has no real root, or its root is non-finite or
         not positive; for a stack, the error of the first failing row.
@@ -386,6 +388,11 @@ def solve(
     if forcing.ndim > 1 or not forcing.size:
         raise ValueError(f"forcing must be a float or a nonempty 1-d sequence, got {forcing!r}")
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
+    # z, f_hist and far take 8 bytes a node each: 101 rows at the step limit
+    # would ask for 4.8 GB before the first step
+    if forcing.size * (n_steps + 1) > 4 * (_MAX_STEPS + 1):
+        raise ValueError(f"a stack of {forcing.size} rows of {n_steps} steps holds more "
+                         f"nodes than 4 runs of {_MAX_STEPS:g} steps")
     grid = h * np.arange(n_steps + 1)
     # A stack keeps row i of z, f_hist and far for forcing i, and a column of
     # forcings and of slopes rho; a single forcing keeps 1-d arrays and

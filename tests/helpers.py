@@ -6,10 +6,10 @@ import math
 import mpmath
 import numpy as np
 
-from fraclogistic import (
+from fraclogistic import OperatorKind
+from fraclogistic.adomian import adomian_delayed_product
+from fraclogistic.series import (
     FracSeries,
-    OperatorKind,
-    adomian_delayed_product,
     kernel_multiply,
     series_add,
     series_scale,
@@ -162,7 +162,7 @@ def reference_hsv_iterate(params, n_terms):
     """Terms x_0 .. x_n of the HSV iteration, built from series objects.
 
     Each step rebuilds every Adomian polynomial ``P_0 .. P_n`` with
-    :func:`fraclogistic.adomian_delayed_product`, keeps the last one and
+    :func:`fraclogistic.adomian.adomian_delayed_product`, keeps the last one and
     goes through the Sumudu transform pair term by term, as the definition
     reads.  The cost grows as about n^4, so it serves small n only.
     """

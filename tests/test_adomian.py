@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fraclogistic import (
+from fraclogistic.adomian import adomian_delayed_product
+from fraclogistic.series import (
     FracSeries,
-    adomian_delayed_product,
     eval_series,
     series_add,
     series_product,

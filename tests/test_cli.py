@@ -498,6 +498,15 @@ class TestExitCodes:
             assert re.fullmatch(rf"error: the deviation \S+ at epsilon {eps} is within 1000 "
                                 r"times the rounding floor 4 eps z_max = \S+\n", err)
 
+    def test_stability_stack_over_the_node_cap(self, capsys, monkeypatch):
+        # the unforced row and five epsilons at 40 steps hold more nodes than
+        # four runs of 50 steps, so the probe is refused before it allocates
+        monkeypatch.setattr("fraclogistic.solvers._MAX_STEPS", 50)
+        code, out, err = run_cli(capsys, "stability", "--t-end", "2", "--h", "0.05",
+                                 "--epsilons", "1e-2,1e-3,1e-4,1e-5,1e-6")
+        assert (code, out) == (2, "")
+        assert "a stack of 6 rows of 40 steps" in err
+
     def test_failure_far_from_the_rounding_floor(self, capsys):
         # a root far below 0 is a failure of the scheme, not of rounding
         code, _, err = run_cli(capsys, "solve", "--operator", "caputo", "--mu", "0.5",
@@ -711,6 +720,17 @@ def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
             assert out.split("\n", 1)[0] in headers[words[1]], line
             ran += 1
     assert ran >= 8
+
+
+def test_readme_library_quickstart_runs():
+    # a name retired from the package would fail the quickstart's import
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library quickstart\n")[1].split("\n## ")[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["curve"].shape == scope["exact"].shape == (101,)
+    assert np.isfinite(scope["value"]) and np.isfinite(scope["trio"].caputo.values).all()
 
 
 def test_readme_lists_every_flag():

@@ -45,7 +45,8 @@ GOLDEN = [
      "b73a2ce6a48706ab62b833f9e97e6471581da041cfd0fd6e11ac2f05000fd116"),
     (["compare", "--lambda", "0.5", "--mu", "0.7"],
      "e6884d6a0f130d5dd1fb1c77ca725df125a13b13feffee2b987be930736f793d"),
-    # the delayed value falls inside the node's own 8-node sub-block
+    # the delayed value falls inside the node's own leaf: all 5000 nodes of
+    # each operator are solved in leaves
     (["compare", "--lambda", "0.95", "--mu", "0.5", "--h", "0.002"],
      "3636cfa6586de425809bd5c423bb74955e2ea2883cb330bc91a5c1055fd7bdb4"),
     # lam = 0 runs are solved a leaf at a time by one product with G

@@ -8,9 +8,7 @@ import pytest
 
 from fraclogistic import (
     ConvergenceError,
-    FracSeries,
     ModelParams,
-    eval_series,
     gamma_fn,
     geometric_closed_form,
     geometric_gap,
@@ -19,6 +17,7 @@ from fraclogistic import (
     psi_kernel,
 )
 from fraclogistic import abc_exact_lambda0, classical_exact
+from fraclogistic.series import FracSeries, eval_series
 from helpers import assert_series_close, reference_hsv_iterate
 
 BASE = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.6, lam=1.0)
@@ -53,10 +52,10 @@ def expected_x2(p):
 @DELAYS
 def test_first_terms_match_closed_coefficients(mu, lam):
     p = ModelParams(r=0.5, k=100.0, z0=10.0, mu=mu, lam=lam)
-    sol = hsv_iterate(p, 2)
-    assert sol.terms[0].coeffs == (p.z0,)
-    assert_series_close(sol.terms[1], expected_x1(p), rtol=1e-12)
-    assert_series_close(sol.terms[2], expected_x2(p), rtol=1e-12)
+    x0, x1, x2 = (FracSeries(p.mu, row) for row in hsv_iterate(p, 2).terms)
+    assert x0.coeffs == (p.z0,)
+    assert_series_close(x1, expected_x1(p), rtol=1e-12)
+    assert_series_close(x2, expected_x2(p), rtol=1e-12)
 
 
 def test_exact_x2_differs_from_kernel_square_surrogate():
@@ -79,16 +78,16 @@ def test_classical_limit_matches_taylor_polynomial():
     ]
     sol = hsv_iterate(p, 3)
     partial = [0.0] * 4
-    for term in sol.terms:
-        for i, c in enumerate(term.coeffs):
+    for row in sol.terms:
+        for i, c in enumerate(FracSeries(p.mu, row).coeffs):
             partial[i] += c
     np.testing.assert_allclose(partial, taylor, rtol=1e-10)
 
 
 def test_term_lengths_bounded():
     sol = hsv_iterate(BASE, 6)
-    for i, term in enumerate(sol.terms):
-        assert len(term.coeffs) <= i + 1
+    for i, row in enumerate(sol.terms):
+        assert not row[i + 1:].any()
     assert sol.truncation == 6
 
 
@@ -151,7 +150,7 @@ def test_lambda_zero_series_meets_closed_form(mu):
 def test_delay_changes_general_mode_only():
     fast = hsv_iterate(ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=1.0), 4)
     slow = hsv_iterate(ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.8, lam=0.3), 4)
-    assert fast.terms[2].coeffs != slow.terms[2].coeffs
+    assert (fast.terms[2] != slow.terms[2]).any()
 
 
 def test_iterate_validation():
@@ -172,7 +171,7 @@ def test_truncation_order_limits():
 
 
 def _assert_matches_reference(p, n):
-    got = [term.coeffs for term in hsv_iterate(p, n).terms]
+    got = [FracSeries(p.mu, row).coeffs for row in hsv_iterate(p, n).terms]
     want = [term.coeffs for term in reference_hsv_iterate(p, n)]
     assert got == want
 
@@ -205,8 +204,8 @@ def test_overflowing_coefficients_raise():
 
 
 def _termwise(sol, t):
-    """Partial sum and last term from eval_series over the FracSeries terms."""
-    values = [eval_series(x, t) for x in sol.terms]
+    """Partial sum and last term from eval_series over the terms as FracSeries."""
+    values = [eval_series(FracSeries(sol.params.mu, row), t) for row in sol.terms]
     return sum(values), abs(values[-1])
 
 
@@ -226,6 +225,7 @@ def test_array_evaluation_matches_scalar_and_termwise_exactly(mu, lam):
     np.testing.assert_array_equal(scalar, termwise)
     assert np.isnan(out.value[-1])
     for term, row in zip(sol.terms, sol.term_values(ts)):
+        term = FracSeries(mu, term)
         np.testing.assert_array_equal(row, [eval_series(term, t) for t in ts.tolist()])
 
 
@@ -253,7 +253,7 @@ def test_tiny_coefficients_are_kept():
     p = ModelParams(r=0.01, k=100.0, z0=10.0, mu=0.5, lam=1.0)
     sol = hsv_iterate(p, 200)
     t = 1e5
-    term = sol.terms[120]
+    term = FracSeries(p.mu, sol.terms[120])
     assert len(term.coeffs) == 121
     exact = math.fsum(c * t ** (k * p.mu) for k, c in enumerate(sol.coeffs[120, :121]))
     assert eval_series(term, t) == pytest.approx(exact, rel=1e-12)
@@ -265,6 +265,22 @@ def test_solution_is_read_only():
     assert sol.coeffs.shape == (4, 4)
     with pytest.raises(ValueError):
         sol.coeffs[1, 0] = 1.0
+
+
+def test_terms_are_a_read_only_view_of_the_coefficients():
+    n = 30
+    sets = [replace(BASE, mu=mu, lam=lam) for mu in (0.5, 0.9, 1.0) for lam in (0.0, 0.5, 1.0)]
+    stack = hsv_iterate(sets, n)
+    terms = stack.terms
+    assert terms.shape == (len(sets) * (n + 1), n + 1)
+    assert np.shares_memory(terms, stack.coeffs)
+    assert terms.tobytes() == stack.coeffs.tobytes()
+    with pytest.raises(ValueError):
+        terms[1, 0] = 1.0
+    rows = iter(terms)
+    for p in sets:
+        for want in reference_hsv_iterate(p, n):
+            assert FracSeries(p.mu, next(rows)) == want
 
 
 class TestGeometricForm:

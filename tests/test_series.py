@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fraclogistic import (
+from fraclogistic import gamma_fn
+from fraclogistic.series import (
     FracSeries,
     SumuduSeries,
     delay_rescale,
     eval_series,
-    gamma_fn,
     kernel_multiply,
     series_add,
     series_product,

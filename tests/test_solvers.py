@@ -602,6 +602,14 @@ class TestStacks:
         assert stack.values[0].tobytes() == solve(p, cfg, forcing=1e-3).values.tobytes()
         assert solve(p, cfg, forcing=np.float64(1e-3)).values.shape == (301,)
 
+    def test_stack_of_more_than_four_maximal_runs_is_refused(self, monkeypatch):
+        monkeypatch.setattr("fraclogistic.solvers._MAX_STEPS", 50)
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
+        cfg = SolveConfig(operator="abc", t_end=0.5, h=0.01)
+        assert solve(p, cfg, forcing=self.FORCINGS).values.shape == (4, 51)
+        with pytest.raises(ValueError, match="a stack of 5 rows of 50 steps"):
+            solve(p, cfg, forcing=(*self.FORCINGS, 0.1))
+
     @pytest.mark.parametrize("forcing", [[], [[0.0, 1.0]]])
     def test_forcing_shape(self, forcing):
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
