@@ -24,7 +24,9 @@ class SolverError(RuntimeError):
     """A time stepper failed to produce a usable value.
 
     ``step`` holds the index of the grid node whose implicit equation has
-    no real root, or whose selected root is non-finite or not positive.
+    no real root, or whose selected root is non-finite, not positive, or
+    at or below the rounding floor 4 eps z_max, with z_max the largest of
+    z0 and the earlier nodes.
     """
 
     def __init__(self, message: str, step: int):

@@ -24,26 +24,26 @@ the smooth factor f is replaced by its piecewise-linear interpolant
 (product trapezoid), and the kernel is integrated exactly against it.
 The weight of f(t_n) in I^e[f](t_n) is h^e / (e (e + 1)).  The history
 weights depend only on the lag n - j, so the history sum is a discrete
-convolution, added in aligned doubling blocks (Hairer, Lubich and
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at each node n whose
-lowest set bit L is at least 8, the sources f[n-L:n] are added into the
-targets n .. n+L-1 at once, by a dense Toeplitz product for L < 64 and by
-FFT beyond.  At e = 1 the rule is the trapezoid rule: every lag weighs 2
-(the quadrature gives one ulp less below lag 64), and the kernel is
-constant, as Caputo and Fabrizio's exponential kernel gives (Progr.
-Fract. Differ. Appl. 1, 2015).  So CFC adds a block as one sum,
-2 sum f[n-L:n], to all its targets.  Pairs within one aligned 8-node
-sub-block are summed by the step itself.  A run of M steps costs
-O(M log^2 M) and gives the direct sum's values up to rounding.  The step
-loop reads and writes z and f in place and calls numpy only where a node
-starts a sub-block.
+convolution.  After node 0 it has one rule, split at the leaves below:
+the lags from within a node's leaf are the leaf's Toeplitz block A, and
+the history from before the leaf comes in aligned doubling blocks
+(Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at
+each leaf boundary n, whose lowest set bit L is at least 256, the sources
+f[n-L:n] are added into the targets n .. n+L-1 at once, by FFT.  At e = 1
+the rule is the trapezoid rule: every lag weighs 2 (the quadrature gives
+one ulp less below lag 64), and the kernel is constant, as Caputo and
+Fabrizio's exponential kernel gives (Progr. Fract. Differ. Appl. 1,
+2015).  So CFC adds a block as one sum, 2 sum f[n-L:n], to all its
+targets.  A run of M steps whose leaves are accepted costs O(M log^2 M)
+and gives the direct sum's values up to rounding.
 
 Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
 each step an equation in the unknown z_n.  The delayed value is affine in
 it, z(lam t_n) = a + b z_n with b in {0, theta, 1}, so the step is the
 scalar quadratic A z^2 + B z - C = 0 and is solved exactly (the root
 nearest z_{n-1} when A != 0).  No real root, a non-finite root or a root
-<= 0 raises :class:`SolverError` with the step index.
+at or below the rounding floor (below) raises :class:`SolverError` with
+the step index.
 
 Initial node: t = 0 is solved by the same step, with pointwise weight
 (1-mu)/B for ABC and 0 for CFC and Caputo.  Weight 0 returns the datum z0
@@ -92,11 +92,28 @@ discrete linear Volterra convolution, Lubich, SIAM J. Math. Anal. 17,
 is done when a sweep moves no node by more than four times the rounding
 error of its sums.  It is rejected when its sweeps would not get there
 within a pinned count at their rate of contraction, when a node is not
-positive beyond that rounding error, or when f sums to overflow over the
-leaf.  The step loop then solves the rejected leaf from the same history
-and the next leaf is tried again, so every failure reports the loop's
-message and step.  ``Trajectory.stats`` counts the nodes each route
-solved, the sweeps, the rejected leaves and the inverses built.
+positive beyond that rounding error or lies at or below the rounding
+floor, or when f sums to overflow over the leaf.  The step loop then
+solves the rejected leaf and the next leaf is tried again, so every
+failure reports the loop's message and step.  ``Trajectory.stats``
+counts the nodes each route solved, the sweeps, the rejected leaves and
+the inverses built.
+
+Step loop: node 0 and rejected leaves are solved one node at a time, one
+row at a time.  Node n of a rejected leaf [s, stop) solves the leaf's own
+system z = v + A f(z), given the nodes before it: z_n = v[n-s] + sum over
+s <= j < n of A[n-j] f_j, plus diag f(z_n), with v from the one history
+rule the sweeps use.  That costs 256 * 255 / 2 multiply-adds a leaf, one
+dot product a node.  The loop adds no history block: the blocks are added
+at leaf boundaries only, after the leaf's nodes are final.
+
+Rounding floor: z0 plus a history whose terms reach the largest state so
+far, z_max (the largest of z0 and the row's earlier nodes), resolves no
+z_n below a few eps z_max.  So no node at or below 4 eps z_max is
+returned: a leaf holding one is rejected, and the step loop raises
+:class:`SolverError` at the first.  Each row carries z_max as a running
+value; a leaf forms the cumulative peak only for a row whose smallest node
+is at or below 4 eps times its largest.
 
 Stacks: runs that differ only in the constant forcing, as the stability
 probe's do, are solved as one stack by ``solve(..., forcing=(e_1, ...,
@@ -105,11 +122,11 @@ share the scheme, the lag weights and each leaf's elementwise sweep work,
 and a history block is one 2-d FFT (one sum per row for CFC).  Each row
 keeps its own rho and G, its own rebuild decision and stop test, and a
 row that stops keeps its iterate while the others sweep on; so every row
-is its own solve bit for bit.  Node 0 and a rejected leaf take the step loop one row at a time,
-and a failing stack raises the error that solving its rows one by one
-would meet first.  Each leaf product is the first half of a full
-convolution, taken from the correlation that np.convolve makes, without
-that function's argument checks.
+is its own solve bit for bit.  Node 0 and a rejected leaf take the step
+loop one row at a time, and a failing stack raises the error that
+solving its rows one by one would meet first.  Each leaf product is the
+first half of a full convolution, taken from the correlation that
+np.convolve makes, without that function's argument checks.
 
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
@@ -123,7 +140,6 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -146,9 +162,7 @@ __all__ = [
 # 1.4-1.9 s and 91 MB for CFC (198 MB with CFC's lag weights built M
 # long), on a 2-vCPU Xeon; time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
-# History blocks of this many nodes and more are added by FFT.
-_BLOCK = 64
-# ABC and Caputo runs are solved in aligned leaves of this many nodes.  A
+# Runs of every operator are solved in aligned leaves of this many nodes.  A
 # leaf whose sweeps would take more than _SWEEPS goes to the step loop, which
 # solves a leaf in the time of 15 to 25 sweeps.  G is rebuilt when its rho,
 # off the leaf's mean slope by more than the slopes spread, would alone
@@ -160,6 +174,8 @@ _LEAF = 256
 _SWEEPS = 12
 _RHO_MOVE = 1e-3
 _EPS = np.finfo(float).eps
+# The rounding floor: no node at or below _FLOOR z_max is returned.
+_FLOOR = 4.0 * _EPS
 # Lag weights: 12 Gauss-Legendre nodes, mapped to [0, 1] with the factor
 # (1 - s) folded into the weights, resolve (1 + s)^(mu-1) to rounding; from
 # lag 64 on, 9 series terms in 1/m leave a remainder below 1e-18 relative.
@@ -308,8 +324,8 @@ _Inverse = collections.namedtuple("_Inverse", "rho g ga g_abs ga_abs ga_norm")
 
 
 @functools.lru_cache(maxsize=32)
-def _leaf_inverse(a_col: bytes, rho: float, with_ga: bool) -> _Inverse:
-    """First columns g of G = (I - rho A)^-1 and ga of GA (empty unless ``with_ga``).
+def _leaf_inverse(a_col: bytes, rho: float) -> _Inverse:
+    """First columns g of G = (I - rho A)^-1 and ga of GA.
 
     ``a_col`` holds the bytes of A's first column, which carry the scheme:
     mu, c_hist, diag and the leaf size.  g is the power series
@@ -327,8 +343,7 @@ def _leaf_inverse(a_col: bytes, rho: float, with_ga: bool) -> _Inverse:
         m = min(2 * len(g), size)
         e = np.convolve(b[:m], g)[len(g):m]
         g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
-    # lam = 0 leaves need no GA
-    ga = np.convolve(g, a_col)[:size] if with_ga else g[:0]
+    ga = np.convolve(g, a_col)[:size]
     inverse = _Inverse(rho, g, ga, np.abs(g), np.abs(ga), np.abs(ga).sum())
     for column in inverse[1:5]:
         column.flags.writeable = False
@@ -425,27 +440,24 @@ def solve(
     z_rows, f_rows = z.reshape(-1, n_steps + 1), f_hist.reshape(-1, n_steps + 1)
     stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0,
                  inverses_built=0)
-    # far[n]: history of node n from nodes before its 8-node sub-block
-    # (before its leaf, in a leaf), plus the j = 0 end correction; nodes
-    # in the sub-block are summed per step, nodes in the leaf by A.
-    # CFC reads w only in the leaves and the step loop's near lags (add_far
-    # sums its blocks without w), so its weights stop at lag _LEAF.
-    lags = max(n_steps + 1, _BLOCK)
-    w, end, spectra = _lag_weights(e, min(lags, _LEAF) if cfc else lags)
-    near_w, tiles = [], {}  # the step loop's, built when it first runs
+    # far[n]: history of node n from nodes before its leaf, plus the j = 0
+    # end correction; nodes in the leaf are summed by A.  CFC reads w only
+    # in the leaves (add_far sums its blocks without w), so its weights stop
+    # at lag _LEAF.
+    w, end, spectra = _lag_weights(e, min(n_steps + 1, _LEAF) if cfc else n_steps + 1)
+    # the largest of z0 and each row's nodes so far, for the rounding floor
+    peaks = [z0] * len(z_rows)
 
-    def add_far(n: int, fh: np.ndarray, fr: np.ndarray) -> None:
-        """Add the lags from f[n-L:n] to far[n:n+L], L = lowest set bit of n.
+    def add_far(n: int) -> None:
+        """Add the lags from f[n-L:n] to far[n:n+L] of every row, L = lowest set bit of n.
 
-        ``fh`` and ``fr`` are one row's f and far, or a stack's (L >= _BLOCK).
+        n is a leaf boundary, so L >= _LEAF: the block is one sum per row
+        for CFC, and otherwise an FFT convolution, O(L log L) per row.
         """
         size = n & -n
         count = min(size, n_steps + 1 - n)
         if cfc:  # a constant kernel: every lag weight is 2
-            fr[..., n:n + count] += 2.0 * fh[..., n - size:n].sum(axis=-1, keepdims=True)
-            return
-        if size < _BLOCK:
-            fr[n:n + count] += tiles[size][:count] @ fh[n - size:n]
+            far[..., n:n + count] += 2.0 * f_hist[..., n - size:n].sum(axis=-1, keepdims=True)
             return
         # Sources go in pieces of P >= count nodes (at most 8 pieces), so
         # a block that runs past the last node needs no full-size FFT.
@@ -461,9 +473,19 @@ def solve(
                 spec = spectra.get(piece)
                 if spec is None:
                     spec = spectra[piece] = np.fft.rfft(w[1:2 * piece], 2 * piece)
-            conv = np.fft.irfft(np.fft.rfft(fh[..., start:start + piece], 2 * piece)
+            conv = np.fft.irfft(np.fft.rfft(f_hist[..., start:start + piece], 2 * piece)
                                 * spec, 2 * piece)
-            fr[..., n:n + count] += conv[..., piece - 1:piece - 1 + count]
+            far[..., n:n + count] += conv[..., piece - 1:piece - 1 + count]
+
+    def history(s: int, stop: int, fr: np.ndarray, fh: np.ndarray) -> np.ndarray:
+        """v of leaf [s, stop): z0 and the history from before the leaf.
+
+        ``fr`` and ``fh`` are far and f_hist, for every row, or one row of each.
+        """
+        v = z0 + c_hist * fr[..., s:stop]
+        if s == 1:  # node 0's lags: add_far adds them only from node 256 on
+            v += c_hist * w[1:stop] * fh[..., :1]
+        return v
 
     # The nodes of one leaf solve F(z) = z - v - A f(z) = 0, with A lower-
     # triangular Toeplitz, A[i, j] = a_col[i - j], and v holding z0 and
@@ -478,7 +500,7 @@ def solve(
     def build(rho: float) -> _Inverse:
         """The leaf inverse at rho, counting the builds."""
         built = _leaf_inverse.cache_info().misses
-        inverse = _leaf_inverse(a_key, rho, bool(lam))
+        inverse = _leaf_inverse(a_key, rho)
         stats["inverses_built"] += _leaf_inverse.cache_info().misses - built
         return inverse
 
@@ -496,13 +518,15 @@ def solve(
         sweep only evaluates f there.
         A row stops sweeping when its sweeps stop contracting, or their
         rate would need more than _SWEEPS, and keeps its iterate and f from
-        then on; its leaf is rejected unless the sweeps converged.  The
-        rows share the elementwise work; each takes its own G.
+        then on; its leaf is rejected unless the sweeps converged, and
+        also when a node sits at or below the rounding floor.  An accepted
+        row's running z_max takes the leaf's largest node.  The rows share
+        the elementwise work; each takes its own G.  A sweep's products
+        are 256-node correlations, so with the leaf-boundary blocks a run
+        whose leaves are accepted costs O(M log^2 M).
         """
         cnt = stop - s
-        v = z0 + c_hist * far[..., s:stop]
-        if s == 1:  # node 0's lags, which the step loop sums as near ones
-            v += c_hist * w[1:stop] * f_hist[..., :1]
+        v = history(s, stop, far, f_hist)
         # zd, the delayed values: lam = 0 feeds back the datum, lam = 1
         # the iterate itself, and other lam interpolate z
         zd, shift = z0, (1.0 if lam == 1.0 else 0.0)
@@ -575,42 +599,47 @@ def solve(
         # sign, and the step loop's sums over a leaf whose f sums to
         # overflow may overflow before the leaf's nodes do: the loop
         # decides both
-        ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf))
-        ok = ok.reshape(-1).tolist()
+        ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf)).reshape(-1)
+        # no node at or below the rounding floor: the cumulative peak is
+        # formed only for a row whose smallest node comes that near 0
+        rows, ok = zl.reshape(-1, cnt), ok.tolist()
+        lows, tops = np.minimum.reduce(rows, 1).tolist(), np.maximum.reduce(rows, 1).tolist()
+        for i, low, top in zip(range(len(ok)), lows, tops):
+            top = max(peaks[i], top)
+            if ok[i] and low <= _FLOOR * top:
+                ok[i] = (rows[i] > _FLOOR * np.maximum.accumulate(rows[i].clip(peaks[i]))).all()
+            if ok[i] and worst[i] <= 1.0:
+                peaks[i] = top
         return [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
 
     # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
     # keeps its pointwise f term (the jump amplitude on linear problems);
     # CFC's f(t) - f(0) term vanishes there.  The loop serves node 0 and
-    # rejected leaves.  It reads and writes a row's z and f_hist through
-    # memoryviews, which give Python floats, and calls numpy only where a
-    # node starts an 8-node sub-block.
+    # rejected leaves, whose nodes solve the leaf's own system z = v + A f(z)
+    # one at a time.  It reads and writes a row's z and f_hist through
+    # memoryviews, which give Python floats.
 
     def steps(i: int, lo: int, hi: int) -> None:
-        """Solve row i's nodes lo .. hi-1 one at a time; lo is 0, 1 or a leaf boundary."""
-        zs, fs, forcing = z_rows[i].data, f_rows[i].data, row_forcing[i]
+        """Solve row i's nodes lo .. hi-1 one at a time: node 0, or the leaf [lo, hi).
+
+        Node n of a leaf takes base = v[n-lo] + sum_{lo<=j<n} A[n-j] f_j,
+        one dot product over A's lags, and d = diag; v is the leaf's
+        :func:`history`.  The first node at or below the rounding floor,
+        4 eps times the row's running z_max, raises.
+        """
+        zs, fs, forcing, peak = z_rows[i].data, f_rows[i].data, row_forcing[i], peaks[i]
         base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
         zn = zs[lo - 1] if lo else z0  # the previous node's value
         if lo:
-            if not near_w:
-                # near_w[s][i] = w[s - i]; blocks of 8, 16 and 32 nodes go
-                # through dense Toeplitz matrices, tiles[L][i, j] = w[L + i - j],
-                # longer ones through FFT
-                near_w.extend(w[s:0:-1].tolist() for s in range(8))
-                idx = np.arange(_BLOCK // 2)
-                tiles.update((size, w[size + idx[:size, None] - idx[:size]])
-                             for size in (8, 16, 32))
-            fh, fr = f_rows[i], far.reshape(-1, far.shape[-1])[i]
-            far_blk = fr[lo & -8:(lo & -8) + 8].tolist()
+            fh = f_rows[i]
+            v, d = history(lo, hi, far.reshape(-1, far.shape[-1])[i], fh).tolist(), diag
+            # A's lags in source order, a contiguous copy for a fast dot: node
+            # n takes the last n - lo
+            lags = a_col[hi - lo - 1:0:-1].copy()
         stats["loop_nodes"] += hi - max(lo, 1)
         for n in range(lo, hi):
-            if n:  # the history of node n
-                d = diag
-                sub = n & 7
-                if not sub and n > lo:  # n starts a sub-block
-                    add_far(n, fh, fr)
-                    far_blk = fr[n:n + 8].tolist()
-                base = z0 + c_hist * (far_blk[sub] + sum(map(mul, near_w[sub], fs[n - sub:n])))
+            if n:
+                base = v[n - lo] + float(lags[hi - 1 - n:].dot(fh[lo:n]))
             # delayed value a + b * z_n
             if lam == 0.0:
                 a, b = z0, 0.0
@@ -649,15 +678,18 @@ def solve(
                     zn = r1 if abs(r1 - zn) < abs(r2 - zn) else r2
             if not math.isfinite(zn):
                 raise SolverError(f"non-finite state at step {n}", step=n)
-            if zn <= 0.0:
+            if zn <= _FLOOR * peak:
                 # z0 plus a history whose terms reach the largest state, z_max,
                 # resolves no z below a few eps z_max
-                floor = (", within 4 eps z_max of 0: the integral form's rounding floor"
-                         if -zn <= 4.0 * _EPS * max(z0, z_rows[i, :n].max(initial=0.0)) else "")
-                raise SolverError(f"non-positive state {zn:.6g} at step {n}{floor}", step=n)
+                floor = ", within 4 eps z_max of 0: the integral form's rounding floor"
+                raise SolverError(f"{'non-positive ' if zn <= 0.0 else ''}state {zn:.6g} at step "
+                                  f"{n}{floor if -zn <= _FLOOR * peak else ''}", step=n)
             fn = logistic_rhs(p, zn, a + b * zn, forcing)
             zs[n] = zn
             fs[n] = fn
+            if zn > peak:
+                peak = zn
+        peaks[i] = peak
 
     # Node 0 is solved by the step, then aligned leaves of _LEAF nodes from
     # node 1; a row whose leaf is rejected solves it by the step loop.
@@ -681,7 +713,7 @@ def solve(
             for row in rejected:
                 steps(row, s, stop)
             if stop <= n_steps:
-                add_far(stop, f_hist, far)
+                add_far(stop)
     except SolverError:
         if row:  # solved one at a time, an earlier row might fail first
             solve(params, cfg, forcing=forcing[:row], pantograph=pantograph)

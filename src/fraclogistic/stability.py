@@ -19,11 +19,11 @@ a horizon between two nodes is not measured at the node past it.
 
 The gap is the difference of two states of size up to z_max, the largest
 state of the stack at the nodes the deviation reads, so it carries an
-absolute rounding error of a few eps z_max: the rounding floor 4 eps z_max that :func:`solve` names for a
-non-positive state.  A deviation within _FLOOR_MULTIPLE floors of 0 is
-refused with :class:`ConvergenceError`, since it would give c from
-rounding.  At eps = 1e-12 a deviation of about 600 floors already puts c
-1e-4 off.
+absolute rounding error of a few eps z_max: the rounding floor 4 eps
+z_max, at or below which :func:`solve` returns no state.  A deviation
+within _FLOOR_MULTIPLE floors of 0 is refused with
+:class:`ConvergenceError`, since it would give c from rounding.  At
+eps = 1e-12 a deviation of about 600 floors already puts c 1e-4 off.
 """
 
 from __future__ import annotations

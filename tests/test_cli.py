@@ -462,17 +462,19 @@ class TestExitCodes:
         assert "diverges" in err
 
     @pytest.mark.parametrize("argv, step", [
-        # z = 10 exp(-9 t) is about 2e-15 at step 83, below what z0 plus a
-        # history of nearly its size resolves; the root there rounds to <= 0
-        (("--lambda", "0", "--r", "-10", "--h", "0.05", "--t-end", "5"), 83),
-        # z overshoots to 6183 and crashes towards 0, where the root is -2.8e-13
-        (("--lambda", "0.25", "--r", "5", "--t-end", "6"), 460),
+        # the scheme's z = 10 (0.775 / 1.225)^n is 7.7e-15 at step 76, within
+        # 4 eps z0 = 8.9e-15, which z0 plus a history of nearly its size
+        # does not resolve
+        (("--lambda", "0", "--r", "-10", "--h", "0.05", "--t-end", "5"), 76),
+        # z overshoots to 6183 and crashes towards 0, where the root is 4.5e-12,
+        # within 4 eps z_max = 5.5e-12
+        (("--lambda", "0.25", "--r", "5", "--t-end", "6"), 454),
     ])
     def test_rounding_floor_is_named(self, capsys, argv, step):
         code, out, err = run_cli(capsys, "solve", "--operator", "abc", "--mu", "1", *argv)
         assert code == 3
         assert out == ""
-        assert re.fullmatch(rf"error: non-positive state \S+ at step {step}, within 4 eps "
+        assert re.fullmatch(rf"error: state \S+ at step {step}, within 4 eps "
                             r"z_max of 0: the integral form's rounding floor\n", err)
 
     def test_cfc_rounding_floor_is_named(self, capsys):
@@ -483,7 +485,7 @@ class TestExitCodes:
                                  "--r", "20", "--mu", "0.9", "--t-end", "5", "--h", "0.01",
                                  "--points", "6")
         assert (code, out) == (3, "")
-        assert re.fullmatch(r"error: non-positive state \S+ at step 184, within 4 eps "
+        assert re.fullmatch(r"error: state \S+ at step 172, within 4 eps "
                             r"z_max of 0: the integral form's rounding floor\n", err)
 
     def test_stability_deviation_at_the_rounding_floor(self, capsys):
@@ -506,6 +508,23 @@ class TestExitCodes:
                                  "--epsilons", "1e-2,1e-3,1e-4,1e-5,1e-6")
         assert (code, out) == (2, "")
         assert "a stack of 6 rows of 40 steps" in err
+
+    @pytest.mark.parametrize("argv, step", [
+        # z = 10 (0.975 / 1.025)^n decays below 4 eps z0 = 8.9e-15 at step
+        # 772; leaves that took such nodes returned 2.47e-15 at t = 8, where
+        # the scheme's own value is 4.2e-17, and 3.04e-19 at t = 10
+        (("--operator", "cfc", "--r", "-5", "--h", "0.01", "--t-end", "10",
+          "--points", "11"), 772),
+        # a decaying solution once read 2.90e-15, 2.90e-15, 4.35e-15 and
+        # 1.45e-15 at t = 3.85 .. 4: rounding, not the scheme
+        (("--operator", "abc", "--r", "-10", "--h", "0.05", "--t-end", "4",
+          "--points", "81"), 76),
+    ])
+    def test_positive_state_at_the_rounding_floor_fails(self, capsys, argv, step):
+        code, out, err = run_cli(capsys, "solve", "--mu", "1", "--lambda", "0", *argv)
+        assert (code, out) == (3, "")
+        assert re.fullmatch(rf"error: state \S+ at step {step}, within 4 eps z_max of 0: "
+                            r"the integral form's rounding floor\n", err)
 
     def test_failure_far_from_the_rounding_floor(self, capsys):
         # a root far below 0 is a failure of the scheme, not of rounding
@@ -632,6 +651,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("argv, rule", [
+        (("surface", "--vary", "mu", "--step", "0"), "--step must be > 0"),
+        (("surface", "--vary", "mu", "--from", "0.9", "--to", "0.5"),
+         "sweep range is empty: --from 0.9 --to 0.5"),
+        (("ml-eval", "--from", "1", "--to", "1"), "ml-eval range is empty: from 1.0 to 1.0"),
+    ])
+    def test_empty_ranges(self, capsys, argv, rule):
+        code, out, err = run_cli(capsys, *argv, "--points", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and rule in err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps([{"r": 0.5}]))
+        code, out, err = run_cli(capsys, "classical", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "must hold a JSON object" in err
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "data.csv"

@@ -210,7 +210,7 @@ class TestBasicBehaviour:
     def test_lambda_zero_fallback_after_accepted_leaves(self, monkeypatch, operator):
         # z = 10 exp(-9 t) nears rounding level in the third leaf, which the
         # leaf solve rejects; the step loop takes over at its first node, 512,
-        # and meets a node that rounding makes negative
+        # and meets a node at the rounding floor
         calls = []
 
         def counted(*args):
@@ -219,11 +219,11 @@ class TestBasicBehaviour:
 
         monkeypatch.setattr("fraclogistic.solvers.logistic_rhs", counted)
         p = ModelParams(r=-10.0, k=100.0, z0=10.0, mu=1.0, lam=0.0)
-        with pytest.raises(SolverError, match="non-positive") as excinfo:
+        with pytest.raises(SolverError, match="rounding floor") as excinfo:
             solve(p, SolveConfig(operator=operator, t_end=4.0, h=4.0 / 610))
-        assert excinfo.value.step == 608
-        # node 0, one sweep in each of leaves 1 to 3, the loop's nodes 512 .. 607
-        assert len(calls) == 1 + 3 + (608 - 512)
+        assert excinfo.value.step == 587
+        # node 0, one sweep in each of leaves 1 to 3, the loop's nodes 512 .. 586
+        assert len(calls) == 1 + 3 + (587 - 512)
 
     # r = 2: the sweeps would contract too slowly in ABC's leaves 1 and 2
     # and in Caputo's leaf 2 (nodes 256 .. 511); the step loop solves those,
@@ -331,7 +331,8 @@ class TestFailureModes:
              22, "non-positive"),
             (ModelParams(r=-30.0, k=100.0, z0=150.0, mu=0.9, lam=1.0), "abc", 0.05,
              0, "no real root"),
-            # past the 8-, 64- and 256-node history blocks
+            # in a rejected first leaf, and past the history block added at
+            # node 256
             (ModelParams(r=5.0, k=100.0, z0=150.0, mu=0.5, lam=0.5), "abc", 0.02,
              114, "non-positive"),
             (ModelParams(r=3.0, k=100.0, z0=150.0, mu=0.3, lam=0.5), "abc", 0.01,
@@ -340,20 +341,51 @@ class TestFailureModes:
              67, "non-positive"),
             (ModelParams(r=10.0, k=100.0, z0=10.0, mu=0.5, lam=0.0), "caputo", 0.02,
              239, "non-finite"),
-            # the history sums overflow before the node itself does
+            # the history sums overflow before the nodes themselves do; the
+            # first node of the leaf whose history block overflows fails
             (ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.3, lam=0.0), "caputo", 0.00025,
-             18624, "non-finite"),
+             18688, "non-finite"),
             # z = 10 exp(-9 t) reaches rounding level, where the integral form
-            # returns a negative node; the lam = 0 block solve must report the
-            # step loop's failure
+            # returns a node at its rounding floor; the lam = 0 block solve
+            # must report the step loop's failure
             (ModelParams(r=-10.0, k=100.0, z0=10.0, mu=1.0, lam=0.0), "abc", 0.05,
-             83, "non-positive"),
+             76, "rounding floor"),
         ],
     )
     def test_inadmissible_root_reports_step(self, params, operator, h, step, message):
         with pytest.raises(SolverError, match=message) as excinfo:
             solve(params, SolveConfig(operator=operator, t_end=5.0, h=h))
         assert excinfo.value.step == step
+
+    def test_decaying_runs_return_no_node_at_the_rounding_floor(self):
+        # z0 plus a history of nearly z_max's size resolves no node at or
+        # below 4 eps z_max: a run fails there, or keeps above it.  Part of a
+        # scan of 324 decaying runs, in which leaves accepted such nodes for
+        # CFC at mu = 1, r = -5, h = 0.01 and lam = 0 or 0.5; the mu = 1 runs
+        # here fail, the mu = 0.8 ones stay above 1e-11
+        eps = np.finfo(float).eps
+        for operator, mu, lam, r in itertools.product(OperatorKind, (0.8, 1.0), (0.0, 0.5),
+                                                      (-5.0, -10.0)):
+            p = ModelParams(r=r, k=100.0, z0=10.0, mu=mu, lam=lam)
+            try:
+                z = solve(p, SolveConfig(operator=operator, t_end=10.0, h=0.01)).values
+            except SolverError as exc:
+                assert "rounding floor" in str(exc)
+                continue
+            z_max = np.maximum.accumulate(np.concatenate(([p.z0], z[:-1])))
+            assert (z > 4.0 * eps * z_max).all(), (operator, mu, lam, r)
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_growth_far_below_a_later_peak_is_kept(self, operator):
+        # at lam = 0 z grows from 1e-20 by a factor 1e43 within the first
+        # leaf, so its early nodes lie far below 4 eps times the leaf's
+        # largest; the floor counts only earlier nodes, so no leaf is rejected
+        p = ModelParams(r=20.0, k=100.0, z0=1e-20, mu=1.0, lam=0.0)
+        cfg = SolveConfig(operator=operator, t_end=5.0, h=0.01)
+        traj = solve(p, cfg)
+        assert traj.stats["rejected_leaves"] == 0
+        assert traj.values[-1] > 1e23
+        assert max_rel(traj.values, reference_solve(p, cfg)) <= 1e-12
 
     def test_operator_string_coercion(self):
         cfg = SolveConfig(operator="CAPUTO", t_end=1.0, h=0.1)
@@ -365,8 +397,8 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     # the ids name the product-trapezoid rule the cases check
-    # at lam = 0.95 the delayed value reaches into the node's own 8-node
-    # sub-block up to node 159, at lam = 0.37 only in the first sub-block
+    # at lam = 0.95 the delayed value falls inside the node's own 256-node
+    # leaf in every leaf, at lam = 0.37 only in the first
     @pytest.mark.parametrize("lam, pantograph", [(0.0, True), (0.37, True), (0.95, True),
                                                  (1.0, True), (0.37, False)],
                              ids=["0.0-True-trapezoid", "0.37-True-trapezoid",
@@ -375,9 +407,8 @@ class TestReferenceEquivalence:
     def test_matches_reference(self, operator, lam, pantograph):
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=lam)
         h = 2.0 ** -6
-        # step counts straddle the history blocks: the dense 8-, 16- and
-        # 32-node blocks and the FFT blocks from 64 nodes on, and the 256-node
-        # leaves of the lam = 0 block solve; at 1100 the 1024-node block that
+        # step counts straddle the 256-node leaves and the FFT history
+        # blocks added at their boundaries; at 1100 the 1024-node block that
         # runs past the last node is split
         for steps in (1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129,
                       197, 255, 256, 257, 511, 512, 513, 1000, 1100):
@@ -420,13 +451,14 @@ class TestReferenceEquivalence:
         # rebuilt at the slopes' mean moved no node by much and passed the
         # stop test with values off by 1e17; the leaf must go to the step
         # loop.  The plain fixed point of reference_solve diverges here; the
-        # hash is the step loop's, recorded before leaves solved lam > 0 runs
+        # hash is the step loop's, whose values moved by at most 1.7e-14
+        # relative when it came to sum a leaf's own lags by A
         p = ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.5, lam=0.25)
         traj = solve(p, SolveConfig(operator="caputo", t_end=4.0, h=0.05))
         assert traj.stats["rejected_leaves"] == 1
         assert traj.stats["loop_nodes"] == 80
         assert hashlib.sha256(traj.values.tobytes()).hexdigest() == (
-            "c55b6e6f38de63daff644f95896d89d8e5f01aff01cc6b259841838cc9854f3a")
+            "78eab4b00e2902973d140175cb5f0100cf7ebd5cdd669784ea415099df990aa6")
 
     @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
     def test_fast_growth_steps_are_converged(self, operator):
