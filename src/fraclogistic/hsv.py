@@ -86,6 +86,12 @@ HSV_SOLVER_AGREEMENT_RTOL = 0.05
 # Largest truncation order: the cost grows as n^3 and 200 steps take about
 # 0.6 s a set (2-vCPU Xeon); far beyond that the coefficients underflow to zero.
 _MAX_TERMS = 200
+# Most work one stack may ask for, sets * (n+1)^3: the 90 sets of `surface
+# --vary both` at the largest order, about 1 min at n = 200 (2-vCPU Xeon).
+# The 1001 sets of `surface --vary lambda --step 0.001 --n-terms 60` fit
+# (about 7 s), as do 21 sets at n = 200 (14 s); 9901 sets at n = 200 would
+# take about 2 h.
+_MAX_WORK = 90 * (_MAX_TERMS + 1) ** 3
 
 # Most cells one chunk of a stack works on: a set takes (n+1)^2 while it is
 # built and (n+1) a time while it is evaluated.  Unchunked, the 1001 sets of
@@ -190,7 +196,10 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
     ascending p.  ``n_terms`` may be at most 200, and ``Gamma(n_terms*mu +
     1)`` must be finite (n_terms * mu below about 170); otherwise, or when
     a coefficient overflows, ``ValueError`` is raised for the first set, in
-    stack order, that fails.
+    stack order, that fails.  A stack's work, P (n_terms + 1)^3 for P sets,
+    may be at most ``_MAX_WORK`` = 90 * 201^3, about 7.3e8: the 90 sets of
+    ``surface --vary both`` at n = 200, or 1001 sets at n = 89.  A larger
+    stack raises ``ValueError`` before any Gamma table is built.
     """
     if not isinstance(n_terms, int) or n_terms < 1:
         raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
@@ -201,6 +210,10 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
     if not sets:
         raise ValueError("params must hold at least one parameter set")
     size = n_terms + 1
+    work = len(sets) * size ** 3
+    if work > _MAX_WORK:
+        raise ValueError(f"a stack of {len(sets)} sets at n_terms = {n_terms} is too large: "
+                         f"sets * (n_terms + 1)^3 = {work:.3g} exceeds {_MAX_WORK:.3g}")
     tables, g, delay, overflow = {}, [], [], None
     for p in sets:  # arrays, not lists of floats: 1001 sets at n = 60 would hold 4 MB
         if p.mu not in tables:  # one Gamma table per mu

@@ -30,12 +30,13 @@ the history from before the leaf comes in aligned doubling blocks
 (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): at
 each leaf boundary n, whose lowest set bit L is at least 256, the sources
 f[n-L:n] are added into the targets n .. n+L-1 at once, by FFT.  At e = 1
-the rule is the trapezoid rule: every lag weighs 2 (the quadrature gives
-one ulp less below lag 64), and the kernel is constant, as Caputo and
-Fabrizio's exponential kernel gives (Progr. Fract. Differ. Appl. 1,
-2015).  So CFC adds a block as one sum, 2 sum f[n-L:n], to all its
-targets.  A run of M steps whose leaves are accepted costs O(M log^2 M)
-and gives the direct sum's values up to rounding.
+(CFC at every mu, ABC and Caputo at mu = 1) the kernel is constant, as
+Caputo and Fabrizio's exponential kernel gives (Progr. Fract. Differ.
+Appl. 1, 2015), and the rule is the trapezoid rule, whose weights are
+exact: 2 at every lag and -1 at the end.  A constant kernel's weights are
+built only to lag 256, and it adds a block as one sum, 2 sum f[n-L:n], to
+all its targets.  A run of M steps whose leaves are accepted costs
+O(M log^2 M) and gives the direct sum's values up to rounding.
 
 Implicit step: the pointwise f(t_n) term and the quadrature diagonal make
 each step an equation in the unknown z_n.  The delayed value is affine in
@@ -119,7 +120,7 @@ Stacks: runs that differ only in the constant forcing, as the stability
 probe's do, are solved as one stack by ``solve(..., forcing=(e_1, ...,
 e_P))``; a float forcing is the P = 1 case, kept on 1-d arrays.  The rows
 share the scheme, the lag weights and each leaf's elementwise sweep work,
-and a history block is one 2-d FFT (one sum per row for CFC).  Each row
+and a history block is one 2-d FFT (one sum per row at e = 1).  Each row
 keeps its own rho and G, its own rebuild decision and stop test, and a
 row that stops keeps its iterate while the others sweep on; so every row
 is its own solve bit for bit.  Node 0 and a rejected leaf take the step
@@ -159,8 +160,8 @@ __all__ = [
 
 # Longer runs are refused up front: at the compare defaults (mu = 0.9,
 # lam = 1) 2e6 steps take 2.4-3.7 s and 205 MB for ABC or Caputo, and
-# 1.4-1.9 s and 91 MB for CFC (198 MB with CFC's lag weights built M
-# long), on a 2-vCPU Xeon; time and memory grow slightly faster than M.
+# 1.4-1.9 s and 91 MB for CFC, whose constant kernel builds no M-long lag
+# weights, on a 2-vCPU Xeon; time and memory grow slightly faster than M.
 _MAX_STEPS = 2_000_000
 # Runs of every operator are solved in aligned leaves of this many nodes.  A
 # leaf whose sweeps would take more than _SWEEPS goes to the step loop, which
@@ -260,21 +261,21 @@ class OperatorComparison(NamedTuple):
     caputo: Trajectory
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _lag_weights(mu: float, size: int) -> tuple:
     """Unscaled product-trapezoid weights of the power-law kernel, lags 0..size.
 
-    ``mu`` is the kernel exponent e; at e = 1 (CFC) the weights are the
-    trapezoid rule's, w = 2 and end = -1, up to one ulp below lag 64.
+    ``mu`` is the kernel exponent e < 1; :func:`solve` takes the constant
+    kernel's exact weights itself.
 
     Returns ``(w, end, spectra)``: ``w[m]`` weights f(t_{n-m}) in the
     history sum of node n (``w[0] = 0``), and ``end[n]`` is what the j = 0
     term adds on top of ``w[n]`` to make the end weight.  Both are
     read-only.  ``spectra`` starts empty; :func:`solve` keeps in it the
     ``rfft`` of ``w[1:2P]`` for each FFT piece length P it uses.  The last
-    two triples are kept, since an operator comparison's Caputo run reuses
-    ABC's after CFC's (1, at most _LEAF); for the longest runs the spectra
-    hold about as much memory as ``w`` and ``end``.
+    triple is kept, so an operator comparison's Caputo run reuses ABC's;
+    for the longest runs the spectra hold about as much memory as ``w``
+    and ``end``.
 
     With p = mu + 1, ``w[m] = (m+1)^p + (m-1)^p - 2 m^p`` and ``end[n] =
     p n^mu + n^p - (n+1)^p`` are differences of terms about m^2 times
@@ -389,8 +390,10 @@ def solve(
     Raises
     ------
     ValueError
-        If a stack's rows hold more nodes than four runs at the step limit,
-        ``P * (M+1) > 4 * (_MAX_STEPS + 1)``; checked before any allocation.
+        If ``forcing`` is not a finite float or a nonempty 1-d sequence of
+        finite floats; or if a stack's rows hold more nodes than four runs
+        at the step limit, ``P * (M+1) > 4 * (_MAX_STEPS + 1)``.  Both are
+        checked before any allocation.
     SolverError
         If an implicit step has no real root, or its root is non-finite or
         not positive; for a stack, the error of the first failing row.
@@ -400,8 +403,9 @@ def solve(
     mu = p.mu
     r, k, z0, lam = p.r, p.k, p.z0, (p.lam if pantograph else 1.0)
     forcing = np.asarray(forcing, dtype=float)
-    if forcing.ndim > 1 or not forcing.size:
-        raise ValueError(f"forcing must be a float or a nonempty 1-d sequence, got {forcing!r}")
+    if forcing.ndim > 1 or not forcing.size or not np.isfinite(forcing).all():
+        raise ValueError("forcing must be a finite float or a nonempty 1-d sequence of them, "
+                         f"got {forcing!r}")
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
     # z, f_hist and far take 8 bytes a node each: 101 rows at the step limit
     # would ask for 4.8 GB before the first step
@@ -441,10 +445,11 @@ def solve(
     stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0,
                  inverses_built=0)
     # far[n]: history of node n from nodes before its leaf, plus the j = 0
-    # end correction; nodes in the leaf are summed by A.  CFC reads w only
-    # in the leaves (add_far sums its blocks without w), so its weights stop
-    # at lag _LEAF.
-    w, end, spectra = _lag_weights(e, min(n_steps + 1, _LEAF) if cfc else n_steps + 1)
+    # end correction; nodes in the leaf are summed by A.  A constant kernel
+    # reads w only in the leaves (add_far sums its blocks without w), so it
+    # takes the trapezoid rule's exact weights up to lag _LEAF.
+    w, end, spectra = ((2.0 * (np.arange(min(n_steps + 1, _LEAF)) > 0), -1.0, {}) if e == 1.0
+                       else _lag_weights(e, n_steps + 1))
     # the largest of z0 and each row's nodes so far, for the rounding floor
     peaks = [z0] * len(z_rows)
 
@@ -452,11 +457,11 @@ def solve(
         """Add the lags from f[n-L:n] to far[n:n+L] of every row, L = lowest set bit of n.
 
         n is a leaf boundary, so L >= _LEAF: the block is one sum per row
-        for CFC, and otherwise an FFT convolution, O(L log L) per row.
+        at e = 1, and otherwise an FFT convolution, O(L log L) per row.
         """
         size = n & -n
         count = min(size, n_steps + 1 - n)
-        if cfc:  # a constant kernel: every lag weight is 2
+        if e == 1.0:  # a constant kernel: every lag weight is 2
             far[..., n:n + count] += 2.0 * f_hist[..., n - size:n].sum(axis=-1, keepdims=True)
             return
         # Sources go in pieces of P >= count nodes (at most 8 pieces), so
@@ -697,10 +702,8 @@ def solve(
         for row in range(len(z_rows)):
             steps(row, 0, 1)
         # CFC's pointwise term c_point (f(t) - f(0)) puts -c_point f(0) in
-        # every node's history.  Only CFC's weights stop short of the last
-        # node, where its end weight is exactly -1 (from lag _SERIES_LAG on).
-        far = np.full((*forcing.shape, max(n_steps + 1, len(end))), -1.0 - c_point / c_hist)
-        far[..., :len(end)] = end - c_point / c_hist if cfc else end
+        # every node's history.  far is M + 2 long, as _lag_weights' end is
+        far = np.full((*forcing.shape, n_steps + 2), end - c_point / c_hist if cfc else end)
         far *= f_hist[..., :1]
         # f's slope at node 0: the datum feeds back at lam = 0; otherwise
         # z(lam t) moves with z, as it does inside the first leaf

@@ -63,8 +63,9 @@ _WEIGHTS = _H * _MU_C / math.pi * np.exp(_S) * (1.0 + 1j * _U) / _S
 def gamma_fn(x: float) -> float:
     """Gamma function for positive real arguments.
 
-    Computed as ``exp(lgamma(x))`` so that callers needing ratios of huge
-    gamma values can work on the log scale without overflow surprises.
+    Computed as ``exp(lgamma(x))``.  It returns Gamma itself, not its
+    logarithm, so past x of about 171.6, where Gamma(x) leaves the float
+    range, it raises ``OverflowError``.  Gamma(1) and Gamma(2) are exactly 1.
 
     Parameters
     ----------

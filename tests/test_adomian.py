@@ -4,6 +4,7 @@ import pytest
 from fraclogistic.adomian import adomian_delayed_product
 from fraclogistic.series import (
     FracSeries,
+    SumuduSeries,
     eval_series,
     series_add,
     series_product,
@@ -132,3 +133,6 @@ def test_validation():
         adomian_delayed_product(
             [FracSeries(0.5, (1.0,)), FracSeries(0.7, (1.0,))], 0.5
         )
+    # a term of another kind, even with the right order and coefficients
+    with pytest.raises(ValueError, match="FracSeries instances"):
+        adomian_delayed_product([FracSeries(0.5, (1.0,)), SumuduSeries(0.5, (1.0,))], 0.5)

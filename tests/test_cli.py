@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_unfinishable_series_stack_exit(self, capsys):
+        # 9901 sets at n = 200 would take about 2 h; refused before any set is built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "surface", "--vary", "lambda", "--from", "0", "--to",
+                                 "1", "--step", "0.000101", "--n-terms", "200", "--points",
+                                 "2", "--mu", "0.5")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a stack of 9901 sets at n_terms = 200 is too large")
 
     @pytest.mark.parametrize("argv", [("classical", "--t-end", "inf"),
                                       ("closed-form", "--t-end", "nan"),

@@ -17,6 +17,7 @@ from fraclogistic import (
     psi_kernel,
 )
 from fraclogistic import abc_exact_lambda0, classical_exact
+from fraclogistic.hsv import _MAX_WORK
 from fraclogistic.series import FracSeries, eval_series
 from helpers import assert_series_close, reference_hsv_iterate
 
@@ -168,6 +169,22 @@ def test_truncation_order_limits():
     assert hsv_iterate(classical, 170).truncation == 170
     with pytest.raises(ValueError, match="overflows"):
         hsv_iterate(classical, 175)
+
+
+def test_stack_work_limit(monkeypatch):
+    # the documented stacks fit; the 9901-set sweep at n = 200 (about 2 h) does not
+    assert 90 * 201 ** 3 == _MAX_WORK >= max(1001 * 90 ** 3, 1001 * 61 ** 3, 21 * 201 ** 3)
+    assert 9901 * 201 ** 3 > _MAX_WORK
+    gammas = []
+    monkeypatch.setattr("fraclogistic.hsv.gamma_fn",
+                        lambda x: gammas.append(x) or math.gamma(x))
+    monkeypatch.setattr("fraclogistic.hsv._MAX_WORK", 3 * 11 ** 3)
+    sets = [replace(BASE, lam=lam) for lam in (0.0, 0.25, 0.5, 0.75)]
+    assert hsv_iterate(sets[:3], 10).coeffs.shape == (3, 11, 11)
+    gammas.clear()
+    with pytest.raises(ValueError, match=r"a stack of 4 sets at n_terms = 10 is too large"):
+        hsv_iterate(sets, 10)
+    assert gammas == []  # refused before any Gamma table
 
 
 def _assert_matches_reference(p, n):

@@ -43,6 +43,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FracSeries(0.5, (1.0, math.inf))
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_scale_rejected(self, factor):
+        with pytest.raises(ValueError, match="scale factor must be finite"):
+            series_scale(FracSeries(0.5, (1.0, 2.0)), factor)
+
 
 class TestSumuduPair:
     def test_forward_constant(self):

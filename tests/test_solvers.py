@@ -12,6 +12,7 @@ from fraclogistic import (
     ModelParams,
     OperatorKind,
     SolveConfig,
+    SingularParameterError,
     SolverError,
     abc_exact_lambda0,
     classical_exact,
@@ -98,12 +99,14 @@ class TestLambdaZeroOracle:
 
 class TestOperatorCoincidence:
     def test_order_one_collapses_all_operators(self):
-        p = ModelParams(r=1.0, k=100.0, z0=10.0, mu=1.0, lam=1.0)
-        cfg = SolveConfig(operator="abc", t_end=3.0, h=2e-3)
-        trio = compare_operators(p, cfg)
-        assert max_rel(trio.abc.values, trio.caputo.values) < 1e-10
-        assert max_rel(trio.abc.values, trio.cfc.values) < 1e-3
-        assert max_rel(trio.cfc.values, trio.caputo.values) < 1e-3
+        # at mu = 1 every kernel is constant and the three integral forms
+        # carry one scheme: ABC and CFC for any B, Caputo too at B = 1
+        for b_norm in (1.0, 2.0):
+            p = ModelParams(r=1.0, k=100.0, z0=10.0, mu=1.0, lam=1.0, b_norm=b_norm)
+            trio = compare_operators(p, SolveConfig(operator="abc", t_end=3.0, h=2e-3))
+            assert trio.abc.values.tobytes() == trio.cfc.values.tobytes()
+            if b_norm == 1.0:
+                assert trio.caputo.values.tobytes() == trio.abc.values.tobytes()
 
     def test_fractional_order_stays_bounded(self):
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.7, lam=0.6)
@@ -206,11 +209,12 @@ class TestBasicBehaviour:
             solve(p, SolveConfig(operator=operator, t_end=steps * h, h=h))
             assert len(calls) <= 1 + -(-(steps + 1) // _LEAF)
 
-    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    @pytest.mark.parametrize("operator", ["abc", "caputo", "cfc"])
     def test_lambda_zero_fallback_after_accepted_leaves(self, monkeypatch, operator):
         # z = 10 exp(-9 t) nears rounding level in the third leaf, which the
         # leaf solve rejects; the step loop takes over at its first node, 512,
-        # and meets a node at the rounding floor
+        # and meets a node at the rounding floor.  At mu = 1 every operator
+        # is one scheme, so CFC fails at the same node
         calls = []
 
         def counted(*args):
@@ -221,9 +225,9 @@ class TestBasicBehaviour:
         p = ModelParams(r=-10.0, k=100.0, z0=10.0, mu=1.0, lam=0.0)
         with pytest.raises(SolverError, match="rounding floor") as excinfo:
             solve(p, SolveConfig(operator=operator, t_end=4.0, h=4.0 / 610))
-        assert excinfo.value.step == 587
-        # node 0, one sweep in each of leaves 1 to 3, the loop's nodes 512 .. 586
-        assert len(calls) == 1 + 3 + (587 - 512)
+        assert excinfo.value.step == 588
+        # node 0, one sweep in each of leaves 1 to 3, the loop's nodes 512 .. 587
+        assert len(calls) == 1 + 3 + (588 - 512)
 
     # r = 2: the sweeps would contract too slowly in ABC's leaves 1 and 2
     # and in Caputo's leaf 2 (nodes 256 .. 511); the step loop solves those,
@@ -356,6 +360,27 @@ class TestFailureModes:
         with pytest.raises(SolverError, match=message) as excinfo:
             solve(params, SolveConfig(operator=operator, t_end=5.0, h=h))
         assert excinfo.value.step == step
+
+    def test_degenerate_linear_step_has_no_root(self):
+        # at lam = 0 the step is linear, qa = 0, and here its slope qb =
+        # 1 - (1 - mu) r (1 - z0/k) is 0 too; the closed form's amplitude
+        # is singular at the same point, where B + r (1 - z0/k) (mu - 1) = 0
+        p = ModelParams(r=2.0 / 0.9, k=100.0, z0=10.0, mu=0.5, lam=0.0)
+        with pytest.raises(SolverError, match=r"^no real root at step 0$") as excinfo:
+            solve(p, SolveConfig(operator="abc", t_end=0.1, h=0.01))
+        assert excinfo.value.step == 0
+        with pytest.raises(SingularParameterError):
+            lambda0_amplitude(p)
+
+    def test_double_root_at_zero_is_at_the_rounding_floor(self):
+        # ABC's node 0 at lam = 1: qb = 1 - (1 - mu) r = 0 and qc = z0 +
+        # (1 - mu) forcing = 0, so z^2 = 0 has the double root 0
+        p = ModelParams(r=2.0, k=100.0, z0=10.0, mu=0.5, lam=1.0)
+        with pytest.raises(SolverError) as excinfo:
+            solve(p, SolveConfig(operator="abc", t_end=0.1, h=0.01), forcing=-20.0)
+        assert str(excinfo.value) == ("non-positive state 0 at step 0, within 4 eps z_max of "
+                                      "0: the integral form's rounding floor")
+        assert excinfo.value.step == 0
 
     def test_decaying_runs_return_no_node_at_the_rounding_floor(self):
         # z0 plus a history of nearly z_max's size resolves no node at or
@@ -543,7 +568,8 @@ class TestLagWeights:
     # 1/m series), then decades up to the largest step count
     LAGS = [*range(1, 300), 10**3, 2 * 10**4, 10**5, 10**6, _MAX_STEPS - 1, _MAX_STEPS]
 
-    # mu = 1 is CFC's kernel exponent, where the weights are the trapezoid rule's
+    # mu = 1, the trapezoid rule, is the quadrature's limit; solve takes that
+    # constant kernel's exact weights instead
     @pytest.mark.parametrize("mu", [0.3, 0.9, 1.0])
     def test_against_extended_precision(self, mu):
         w, end, _ = _lag_weights(mu, _MAX_STEPS)
@@ -561,16 +587,16 @@ class TestLagWeights:
         with pytest.raises(ValueError, match="read-only"):
             end[1] = 0.0
 
-    def test_cfc_builds_lags_up_to_its_leaves_only(self):
-        # CFC's history blocks are sums without w, and its end weight is
-        # exactly -1 past lag 64, so a long run needs no weights past _LEAF
-        _lag_weights.cache_clear()
-        p = ModelParams(r=0.5, k=100.0, z0=10.0, mu=0.7, lam=0.5)
-        solve(p, SolveConfig(OperatorKind.CFC, 5.0, 1e-3))
+    @pytest.mark.parametrize("operator, mu", [("cfc", 0.7), ("abc", 1.0), ("caputo", 1.0)])
+    def test_constant_kernel_builds_no_lag_weights(self, operator, mu):
+        # a constant kernel takes the trapezoid rule's exact weights, and
+        # its history blocks are sums without w
+        _lag_weights(0.45, 300)
         info = _lag_weights.cache_info()
-        w, end, _ = _lag_weights(1.0, _LEAF)
-        assert info.currsize == 1 and _lag_weights.cache_info().hits == info.hits + 1
-        assert len(w) == len(end) == _LEAF + 1
+        p = ModelParams(r=0.5, k=100.0, z0=10.0, mu=mu, lam=0.5)
+        solve(p, SolveConfig(operator, 5.0, 1e-3))
+        assert _lag_weights.cache_info() == info
+        assert info.maxsize == 1
 
     def test_gauss_legendre_table(self):
         nodes, weights = np.polynomial.legendre.leggauss(12)
@@ -646,6 +672,13 @@ class TestStacks:
     def test_forcing_shape(self, forcing):
         p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
         with pytest.raises(ValueError, match="forcing"):
+            solve(p, SolveConfig(operator="abc", t_end=1.0, h=0.01), forcing=forcing)
+
+    # bad input, refused before any step, not a solver failure at step 0
+    @pytest.mark.parametrize("forcing", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+    def test_non_finite_forcing_is_refused(self, forcing):
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
+        with pytest.raises(ValueError, match="forcing must be a finite float"):
             solve(p, SolveConfig(operator="abc", t_end=1.0, h=0.01), forcing=forcing)
 
     # at r = -3 a forcing of -2 makes z negative at a later step than -5; a

@@ -14,7 +14,7 @@ from fraclogistic.special import time_powers
 
 
 def test_gamma_integers():
-    assert gamma_fn(1.0) == 1.0
+    assert gamma_fn(1.0) == gamma_fn(2.0) == 1.0
     # evaluated through exp(lgamma), so integer values land within the
     # 12-significant-digit contract rather than exactly
     assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
@@ -34,6 +34,13 @@ def test_gamma_twelve_digits_on_grid():
 def test_gamma_domain(bad):
     with pytest.raises(ValueError):
         gamma_fn(bad)
+
+
+def test_gamma_overflows_past_the_float_range():
+    # Gamma itself, not its logarithm: finite up to about 171.6
+    assert math.isfinite(gamma_fn(171.6))
+    with pytest.raises(OverflowError):
+        gamma_fn(171.7)
 
 
 def test_ml_at_zero_is_one():
