@@ -22,11 +22,15 @@ so the iteration runs on one square coefficient matrix whose row i holds
 x_i.  A step forms only the polynomial P_n it needs, as a sum of n + 1
 vectorised Cauchy products, and applies the transform pair and kernel
 elementwise.  A sweep's parameter sets go through as one stack of such
-matrices, so a run of n steps costs O(n^3) flops a set in O(n^2) numpy
-calls a stack, not a set.  The operations are those of the series
-functions in :mod:`fraclogistic.series` and :mod:`fraclogistic.adomian`,
-in the same order, so the coefficients agree with them bit for bit, in a
-stack or alone.
+matrices, in O(n^2) numpy calls a stack, not a set.  The step that
+builds x_m forms its polynomial from m products of m x (m - i) cells,
+about m^3/2 multiply-adds, so a run of n steps costs about n^4/8 a set.
+One set took 0.4, 2.7, 8.8, 79 and 700 ms at n = 10, 30, 50, 100 and 200
+(2-vCPU Xeon): about x9 per doubling of n from n = 50 on, as the calls'
+overhead still shares the time with the n^4 flops.  The operations are
+those of the series functions in :mod:`fraclogistic.series` and
+:mod:`fraclogistic.adomian`, in the same order, so the coefficients
+agree with them bit for bit, in a stack or alone.
 
 The solution keeps the matrices and evaluates a whole time grid at once by
 Horner's rule in t^mu over their columns; the truncated solution adds the
@@ -83,11 +87,13 @@ __all__ = [
 # qualitative bound, not a convergence rate claim.
 HSV_SOLVER_AGREEMENT_RTOL = 0.05
 
-# Largest truncation order: the cost grows as n^3 and 200 steps take about
-# 0.6 s a set (2-vCPU Xeon); far beyond that the coefficients underflow to zero.
+# Largest truncation order: the time grows about x9 per doubling of n (the
+# flops as n^4) and 200 steps take about 0.7 s a set (2-vCPU Xeon); far
+# beyond that the coefficients underflow to zero.
 _MAX_TERMS = 200
-# Most work one stack may ask for, sets * (n+1)^3: the 90 sets of `surface
-# --vary both` at the largest order, about 1 min at n = 200 (2-vCPU Xeon).
+# Most work one stack may ask for, sets * (n+1)^3, a cap fitted to measured
+# times rather than a flop count: the 90 sets of `surface --vary both` at the
+# largest order, about 1 min at n = 200 (2-vCPU Xeon).
 # The 1001 sets of `surface --vary lambda --step 0.001 --n-terms 60` fit
 # (about 7 s), as do 21 sets at n = 200 (14 s); 9901 sets at n = 200 would
 # take about 2 h.
@@ -196,9 +202,10 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
     ascending p.  ``n_terms`` may be at most 200, and ``Gamma(n_terms*mu +
     1)`` must be finite (n_terms * mu below about 170); otherwise, or when
     a coefficient overflows, ``ValueError`` is raised for the first set, in
-    stack order, that fails.  A stack's work, P (n_terms + 1)^3 for P sets,
-    may be at most ``_MAX_WORK`` = 90 * 201^3, about 7.3e8: the 90 sets of
-    ``surface --vary both`` at n = 200, or 1001 sets at n = 89.  A larger
+    stack order, that fails.  A stack's work, P (n_terms + 1)^3 for P sets
+    (a cap fitted to measured times, not a flop count), may be at most
+    ``_MAX_WORK`` = 90 * 201^3, about 7.3e8: the 90 sets of ``surface
+    --vary both`` at n = 200, or 1001 sets at n = 89.  A larger
     stack raises ``ValueError`` before any Gamma table is built.
     """
     if not isinstance(n_terms, int) or n_terms < 1:

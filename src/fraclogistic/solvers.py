@@ -118,16 +118,17 @@ is at or below 4 eps times its largest.
 
 Stacks: runs that differ only in the constant forcing, as the stability
 probe's do, are solved as one stack by ``solve(..., forcing=(e_1, ...,
-e_P))``; a float forcing is the P = 1 case, kept on 1-d arrays.  The rows
-share the scheme, the lag weights and each leaf's elementwise sweep work,
-and a history block is one 2-d FFT (one sum per row at e = 1).  Each row
-keeps its own rho and G, its own rebuild decision and stop test, and a
-row that stops keeps its iterate while the others sweep on; so every row
-is its own solve bit for bit.  Node 0 and a rejected leaf take the step
-loop one row at a time, and a failing stack raises the error that
-solving its rows one by one would meet first.  Each leaf product is the
-first half of a full convolution, taken from the correlation that
-np.convolve makes, without that function's argument checks.
+e_P))``.  Every run is a stack: a float forcing is a stack of one, whose
+row is unwrapped in ``Trajectory.values``.  The rows share the scheme,
+the lag weights and each leaf's elementwise sweep work, and a history
+block is one 2-d FFT (one sum per row at e = 1).  Each row keeps its own
+rho and G, its own rebuild decision and stop test, and a row that stops
+keeps its iterate while the others sweep on; so every row is its own
+solve bit for bit.  Node 0 and a rejected leaf take the step loop one row
+at a time, and a failing stack raises the error that solving its rows one
+by one would meet first.  Each leaf product is the first half of a full
+convolution, taken from the correlation that np.convolve makes, without
+that function's argument checks.
 
 Not supported: adaptive stepping, stiff-regime guarantees (a step with no
 admissible root raises :class:`SolverError` instead).
@@ -408,26 +409,22 @@ def solve(
                          f"got {forcing!r}")
     n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
     # z, f_hist and far take 8 bytes a node each: 101 rows at the step limit
-    # would ask for 4.8 GB before the first step
+    # would ask for 4.8 GB before the first step; the peak adds, a row, the
+    # largest history block's two FFT arrays of up to 4M/3 nodes each
     if forcing.size * (n_steps + 1) > 4 * (_MAX_STEPS + 1):
         raise ValueError(f"a stack of {forcing.size} rows of {n_steps} steps holds more "
                          f"nodes than 4 runs of {_MAX_STEPS:g} steps")
     grid = h * np.arange(n_steps + 1)
-    # A stack keeps row i of z, f_hist and far for forcing i, and a column of
-    # forcings and of slopes rho; a single forcing keeps 1-d arrays and
-    # scalars, since numpy calls on them cost less than on one-row stacks.
-    z = np.zeros((*forcing.shape, n_steps + 1))
+    # Every run is a stack: row i of z, f_hist and far, and of the columns of
+    # forcings and of slopes rho, is forcing i's.  A float forcing is a stack
+    # of one, unwrapped only in the returned values.
+    row_forcing = forcing.reshape(-1).tolist()
+    f_col = forcing.reshape(-1, 1)
+    z = np.zeros((len(row_forcing), n_steps + 1))
 
     def by_row(f, x):
-        """f(i, row i of x) for every row, stacked like x."""
-        return np.array([f(i, row) for i, row in enumerate(x)]) if forcing.ndim else f(0, x)
-
-    def column(xs):
-        """One scalar per row, as a column like forcing's."""
-        return np.array(xs)[:, None] if forcing.ndim else xs[0]
-
-    row_forcing = forcing.reshape(-1).tolist()
-    f_col = column(row_forcing)
+        """f(i, row i of x) for every row, stacked like x; a stack of one takes a view."""
+        return np.array([f(i, row) for i, row in enumerate(x)]) if len(x) > 1 else f(0, x[0])[None]
 
     op = cfg.operator
     cfc = op is OperatorKind.CFC
@@ -441,9 +438,8 @@ def solve(
     c_hist = c_quad * (h ** e / (e * (e + 1.0)))
     diag = c_point + c_hist
     f_hist = np.zeros(z.shape)
-    z_rows, f_rows = z.reshape(-1, n_steps + 1), f_hist.reshape(-1, n_steps + 1)
-    stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0,
-                 inverses_built=0)
+    stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0)
+    built = _leaf_inverse.cache_info().misses  # inverses_built is the growth
     # far[n]: history of node n from nodes before its leaf, plus the j = 0
     # end correction; nodes in the leaf are summed by A.  A constant kernel
     # reads w only in the leaves (add_far sums its blocks without w), so it
@@ -451,7 +447,7 @@ def solve(
     w, end, spectra = ((2.0 * (np.arange(min(n_steps + 1, _LEAF)) > 0), -1.0, {}) if e == 1.0
                        else _lag_weights(e, n_steps + 1))
     # the largest of z0 and each row's nodes so far, for the rounding floor
-    peaks = [z0] * len(z_rows)
+    peaks = [z0] * len(z)
 
     def add_far(n: int) -> None:
         """Add the lags from f[n-L:n] to far[n:n+L] of every row, L = lowest set bit of n.
@@ -462,7 +458,7 @@ def solve(
         size = n & -n
         count = min(size, n_steps + 1 - n)
         if e == 1.0:  # a constant kernel: every lag weight is 2
-            far[..., n:n + count] += 2.0 * f_hist[..., n - size:n].sum(axis=-1, keepdims=True)
+            far[:, n:n + count] += 2.0 * f_hist[:, n - size:n].sum(axis=-1, keepdims=True)
             return
         # Sources go in pieces of P >= count nodes (at most 8 pieces), so
         # a block that runs past the last node needs no full-size FFT.
@@ -478,9 +474,9 @@ def solve(
                 spec = spectra.get(piece)
                 if spec is None:
                     spec = spectra[piece] = np.fft.rfft(w[1:2 * piece], 2 * piece)
-            conv = np.fft.irfft(np.fft.rfft(f_hist[..., start:start + piece], 2 * piece)
+            conv = np.fft.irfft(np.fft.rfft(f_hist[:, start:start + piece], 2 * piece)
                                 * spec, 2 * piece)
-            far[..., n:n + count] += conv[..., piece - 1:piece - 1 + count]
+            far[:, n:n + count] += conv[:, piece - 1:piece - 1 + count]
 
     def history(s: int, stop: int, fr: np.ndarray, fh: np.ndarray) -> np.ndarray:
         """v of leaf [s, stop): z0 and the history from before the leaf.
@@ -501,13 +497,6 @@ def solve(
     a_sum = np.cumsum(a_col)  # A times (1, 1, 1, ...)
     a_key = a_col.tobytes()  # the scheme, for the inverses' cache
     rung = _RHO_MOVE / a_sum[-1]  # a_sum[-1] = ||A||_1
-
-    def build(rho: float) -> _Inverse:
-        """The leaf inverse at rho, counting the builds."""
-        built = _leaf_inverse.cache_info().misses
-        inverse = _leaf_inverse(a_key, rho)
-        stats["inverses_built"] += _leaf_inverse.cache_info().misses - built
-        return inverse
 
     def leaf(s: int, stop: int) -> list:
         """Solve nodes s .. stop-1 of every row in sweeps; the rows rejected.
@@ -542,8 +531,8 @@ def solve(
             theta = pos - j
             j1 = j + 1  # <= n, as lam < 1
             shift = (1.0 - theta) * (j >= s) + theta * (j1 >= s)  # delay weight in the leaf
-        vq = v + column([f_rows[i, s - 1] - inv.rho * z_rows[i, s - 1]
-                         for i, inv in enumerate(lin)]) * a_sum[:cnt]
+        vq = v + np.array([f_hist[i, s - 1] - inv.rho * z[i, s - 1]
+                           for i, inv in enumerate(lin)])[:, None] * a_sum[:cnt]
         zl = by_row(lambda i, q: _lower(lin[i].g, q), vq)
         going = range(len(lin))  # the rows still sweeping
         worst, done = [math.inf if lam else 0.0] * len(lin), [0] * len(lin)
@@ -551,7 +540,7 @@ def solve(
             if lam == 1.0:  # (1 - 0) z_n + 0 z_n, as interpolated: nan where z_n = inf
                 zd = zl + 0.0 * zl
             elif lam:
-                z[..., s:stop] = zl
+                z[:, s:stop] = zl
                 zd = (1.0 - theta) * z.take(j, axis=-1) + theta * z.take(j1, axis=-1)
             fl = logistic_rhs(p, zl, zd, f_col)
             if sweep == 1:
@@ -564,24 +553,24 @@ def solve(
                     # pass the stop test
                     slopes = r * (1.0 - (zd + shift * zl) / k)
                     mean = slopes.sum(axis=-1, keepdims=True) / cnt  # as .mean()
-                    spread = np.abs(slopes - mean).max(axis=-1).reshape(-1).tolist()
+                    spread = np.abs(slopes - mean).max(axis=-1).tolist()
                     for i, at, by in zip(going, mean.ravel().tolist(), spread):
                         if abs(at - lin[i].rho) > max(_RHO_MOVE / lin[i].ga_norm, by):
                             if by > 0.5 * rung:  # the rung slows sweeps little
                                 at = np.rint(at / rung) * rung
-                            lin[i] = build(at)
+                            lin[i] = _leaf_inverse(a_key, at)
                 # four times the rounding error of the two sums
                 tol = 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].g_abs, q), np.abs(vq))
                 if not lam:
                     done = [1] * len(lin)
                     break
-                rho = column([inv.rho for inv in lin])
+                rho = np.array([inv.rho for inv in lin])[:, None]
                 tol += 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].ga_abs, q),
                                            np.abs(fl) + np.abs(rho * (v - zl)))
             # a row that stopped keeps zl, whatever its zn
             zn = v + by_row(lambda i, q: _lower(lin[i].ga, q) if i in going else q,
                             fl + rho * (v - zl))
-            ratio = (np.abs(zn - zl) / tol).max(axis=-1).reshape(-1).tolist()
+            ratio = (np.abs(zn - zl) / tol).max(axis=-1).tolist()
             # a row stops at convergence, or when the rate of contraction
             # says its sweeps would not get there
             for i in going:
@@ -598,21 +587,20 @@ def solve(
                 zl[going] = zn[going]
         stats["sweeps"] += sum(done)
         stats["max_sweeps"] = max(stats["max_sweeps"], *done)
-        z[..., s:stop] = zl  # lam = 1 and lam = 0 leave it to here
-        f_hist[..., s:stop] = fl  # the step loop overwrites a rejected leaf
+        z[:, s:stop] = zl  # lam = 1 and lam = 0 leave it to here
+        f_hist[:, s:stop] = fl  # the step loop overwrites a rejected leaf
         # a node within the rounding error of its sums may have either
         # sign, and the step loop's sums over a leaf whose f sums to
         # overflow may overflow before the leaf's nodes do: the loop
         # decides both
-        ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf)).reshape(-1)
+        ok = ((4.0 * zl > tol).all(axis=-1) & (np.abs(fl).sum(axis=-1) < math.inf)).tolist()
         # no node at or below the rounding floor: the cumulative peak is
         # formed only for a row whose smallest node comes that near 0
-        rows, ok = zl.reshape(-1, cnt), ok.tolist()
-        lows, tops = np.minimum.reduce(rows, 1).tolist(), np.maximum.reduce(rows, 1).tolist()
+        lows, tops = np.minimum.reduce(zl, 1).tolist(), np.maximum.reduce(zl, 1).tolist()
         for i, low, top in zip(range(len(ok)), lows, tops):
             top = max(peaks[i], top)
             if ok[i] and low <= _FLOOR * top:
-                ok[i] = (rows[i] > _FLOOR * np.maximum.accumulate(rows[i].clip(peaks[i]))).all()
+                ok[i] = (zl[i] > _FLOOR * np.maximum.accumulate(zl[i].clip(peaks[i]))).all()
             if ok[i] and worst[i] <= 1.0:
                 peaks[i] = top
         return [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
@@ -632,12 +620,12 @@ def solve(
         :func:`history`.  The first node at or below the rounding floor,
         4 eps times the row's running z_max, raises.
         """
-        zs, fs, forcing, peak = z_rows[i].data, f_rows[i].data, row_forcing[i], peaks[i]
+        zs, fs, forcing, peak = z[i].data, f_hist[i].data, row_forcing[i], peaks[i]
         base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
         zn = zs[lo - 1] if lo else z0  # the previous node's value
         if lo:
-            fh = f_rows[i]
-            v, d = history(lo, hi, far.reshape(-1, far.shape[-1])[i], fh).tolist(), diag
+            fh = f_hist[i]
+            v, d = history(lo, hi, far[i], fh).tolist(), diag
             # A's lags in source order, a contiguous copy for a fast dot: node
             # n takes the last n - lo
             lags = a_col[hi - lo - 1:0:-1].copy()
@@ -699,16 +687,16 @@ def solve(
     # Node 0 is solved by the step, then aligned leaves of _LEAF nodes from
     # node 1; a row whose leaf is rejected solves it by the step loop.
     try:
-        for row in range(len(z_rows)):
+        for row in range(len(z)):
             steps(row, 0, 1)
         # CFC's pointwise term c_point (f(t) - f(0)) puts -c_point f(0) in
         # every node's history.  far is M + 2 long, as _lag_weights' end is
-        far = np.full((*forcing.shape, n_steps + 2), end - c_point / c_hist if cfc else end)
-        far *= f_hist[..., :1]
+        far = np.full((len(z), n_steps + 2), end - c_point / c_hist if cfc else end)
+        far *= f_hist[:, :1]
         # f's slope at node 0: the datum feeds back at lam = 0; otherwise
         # z(lam t) moves with z, as it does inside the first leaf
-        lin = [build(r * (1.0 - (z0 if lam == 0.0 else 2.0 * start) / k))
-               for start in z_rows[:, 0].tolist()]
+        lin = [_leaf_inverse(a_key, r * (1.0 - (z0 if lam == 0.0 else 2.0 * start) / k))
+               for start in z[:, 0].tolist()]
         for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
             stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
             rejected = leaf(s, stop)
@@ -721,9 +709,11 @@ def solve(
         if row:  # solved one at a time, an earlier row might fail first
             solve(params, cfg, forcing=forcing[:row], pantograph=pantograph)
         raise
-    stats["leaf_nodes"] = n_steps * len(z_rows) - stats["loop_nodes"]
+    stats["leaf_nodes"] = n_steps * len(z) - stats["loop_nodes"]
+    stats["inverses_built"] = _leaf_inverse.cache_info().misses - built
 
-    return Trajectory(grid=grid, values=z, operator=op, params=p, stats=stats)
+    return Trajectory(grid=grid, values=z.reshape(*forcing.shape, -1), operator=op, params=p,
+                      stats=stats)
 
 
 def compare_operators(params: ModelParams, cfg_base: SolveConfig) -> OperatorComparison:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import ModelParams
-from .solvers import SolveConfig, solve
+from .solvers import _FLOOR, SolveConfig, solve
 
 __all__ = ["StabilityReport", "hyers_ulam_probe"]
 
@@ -85,7 +85,7 @@ def hyers_ulam_probe(params: ModelParams, cfg: SolveConfig, epsilons) -> Stabili
     nodes = int(cfg.t_end / cfg.h + 1e-9) + 1
     deviations = [max(float(gap[:nodes].max()), float(np.interp(cfg.t_end, runs.grid, gap)))
                   for gap in np.abs(runs.values[1:] - runs.values[0])]
-    floor = 4.0 * np.finfo(float).eps * float(runs.values[:, :nodes + 1].max())
+    floor = _FLOOR * float(runs.values[:, :nodes + 1].max())
     for eps, dev in zip(eps_list, deviations):
         if dev <= _FLOOR_MULTIPLE * floor:
             raise ConvergenceError(

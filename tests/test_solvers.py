@@ -652,13 +652,28 @@ class TestStacks:
         assert stack.stats["rejected_leaves"] == stats["rejected_leaves"] > 0
         assert stack.stats["loop_nodes"] == stats["loop_nodes"]
 
+    # a float forcing is a stack of one: the same solve, its row unwrapped
     def test_single_row(self):
-        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=0.5)
-        cfg = SolveConfig(operator="abc", t_end=3.0, h=0.01)
-        stack = solve(p, cfg, forcing=[1e-3])
-        assert stack.values.shape == (1, 301)
-        assert stack.values[0].tobytes() == solve(p, cfg, forcing=1e-3).values.tobytes()
-        assert solve(p, cfg, forcing=np.float64(1e-3)).values.shape == (301,)
+        for operator, lam in itertools.product(["abc", "cfc", "caputo"], [0.0, 0.5, 1.0]):
+            p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.8, lam=lam)
+            cfg = SolveConfig(operator=operator, t_end=3.0, h=0.01)
+            runs = []
+            for forcing in (1e-3, [1e-3], np.float64(1e-3)):
+                _leaf_inverse.cache_clear()  # so that inverses_built compares
+                runs.append(solve(p, cfg, forcing=forcing))
+            single, stack, scalar = runs
+            assert single.values.shape == scalar.values.shape == (301,)
+            assert stack.values.shape == (1, 301)
+            assert stack.values[0].tobytes() == single.values.tobytes() == scalar.values.tobytes()
+            assert stack.stats == single.stats == scalar.stats
+            assert single.stats["inverses_built"] > 0
+            # as in test_errors_follow_the_rows
+            errors = []
+            for forcing in (-5.0, [-5.0]):
+                with pytest.raises(SolverError, match="non-positive") as excinfo:
+                    solve(replace(p, r=-3.0), cfg, forcing=forcing)
+                errors.append((str(excinfo.value), excinfo.value.step))
+            assert errors[0] == errors[1], (operator, lam)
 
     def test_stack_of_more_than_four_maximal_runs_is_refused(self, monkeypatch):
         monkeypatch.setattr("fraclogistic.solvers._MAX_STEPS", 50)
