@@ -101,12 +101,15 @@ counts the nodes each route solved, the sweeps, the rejected leaves and
 the inverses built.
 
 Step loop: node 0 and rejected leaves are solved one node at a time, one
-row at a time.  Node n of a rejected leaf [s, stop) solves the leaf's own
-system z = v + A f(z), given the nodes before it: z_n = v[n-s] + sum over
-s <= j < n of A[n-j] f_j, plus diag f(z_n), with v from the one history
-rule the sweeps use.  That costs 256 * 255 / 2 multiply-adds a leaf, one
-dot product a node.  The loop adds no history block: the blocks are added
-at leaf boundaries only, after the leaf's nodes are final.
+row at a time.  The loop solves the system z = v + A f(z) it is handed,
+with v and the diagonal d from its caller: node n of [s, stop), given the
+nodes before it, solves z_n = v[n-s] + sum over s <= j < n of A[n-j] f_j,
+plus d f(z_n).  A rejected leaf hands it the v its sweeps used and d =
+diag.  Node 0 is the one-node system z_0 = z0 + d f(z_0), with d the
+pointwise weight: (1-mu)/B for ABC and 0 for CFC and Caputo.  A leaf
+costs 256 * 255 / 2 multiply-adds, one dot product a node.  The loop adds
+no history block: the blocks are added at leaf boundaries only, after the
+leaf's nodes are final.
 
 Rounding floor: z0 plus a history whose terms reach the largest state so
 far, z_max (the largest of z0 and the row's earlier nodes), resolves no
@@ -478,16 +481,6 @@ def solve(
                                 * spec, 2 * piece)
             far[:, n:n + count] += conv[:, piece - 1:piece - 1 + count]
 
-    def history(s: int, stop: int, fr: np.ndarray, fh: np.ndarray) -> np.ndarray:
-        """v of leaf [s, stop): z0 and the history from before the leaf.
-
-        ``fr`` and ``fh`` are far and f_hist, for every row, or one row of each.
-        """
-        v = z0 + c_hist * fr[..., s:stop]
-        if s == 1:  # node 0's lags: add_far adds them only from node 256 on
-            v += c_hist * w[1:stop] * fh[..., :1]
-        return v
-
     # The nodes of one leaf solve F(z) = z - v - A f(z) = 0, with A lower-
     # triangular Toeplitz, A[i, j] = a_col[i - j], and v holding z0 and
     # the history from before the leaf.
@@ -498,8 +491,11 @@ def solve(
     a_key = a_col.tobytes()  # the scheme, for the inverses' cache
     rung = _RHO_MOVE / a_sum[-1]  # a_sum[-1] = ||A||_1
 
-    def leaf(s: int, stop: int) -> list:
-        """Solve nodes s .. stop-1 of every row in sweeps; the rows rejected.
+    def leaf(s: int, stop: int) -> tuple:
+        """Solve nodes s .. stop-1 of every row in sweeps; v and the rows rejected.
+
+        v, each row's z0 and history from before the leaf, is formed once,
+        for the sweeps and for the step loop.
 
         Each sweep takes z <- G (v + A (f(z) - rho z)), a Newton-type step
         with the Jacobian of f replaced by rho I, summed as v + GA (f(z)
@@ -520,7 +516,9 @@ def solve(
         whose leaves are accepted costs O(M log^2 M).
         """
         cnt = stop - s
-        v = history(s, stop, far, f_hist)
+        v = z0 + c_hist * far[:, s:stop]
+        if s == 1:  # node 0's lags: add_far adds them only from node 256 on
+            v += c_hist * w[1:stop] * f_hist[:, :1]
         # zd, the delayed values: lam = 0 feeds back the datum, lam = 1
         # the iterate itself, and other lam interpolate z
         zd, shift = z0, (1.0 if lam == 1.0 else 0.0)
@@ -568,7 +566,7 @@ def solve(
                 tol += 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].ga_abs, q),
                                            np.abs(fl) + np.abs(rho * (v - zl)))
             # a row that stopped keeps zl, whatever its zn
-            zn = v + by_row(lambda i, q: _lower(lin[i].ga, q) if i in going else q,
+            zn = v + by_row(lambda i, q: q if done[i] else _lower(lin[i].ga, q),
                             fl + rho * (v - zl))
             ratio = (np.abs(zn - zl) / tol).max(axis=-1).tolist()
             # a row stops at convergence, or when the rate of contraction
@@ -603,36 +601,32 @@ def solve(
                 ok[i] = (zl[i] > _FLOOR * np.maximum.accumulate(zl[i].clip(peaks[i]))).all()
             if ok[i] and worst[i] <= 1.0:
                 peaks[i] = top
-        return [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
+        return v, [i for i, good in enumerate(ok) if not (good and worst[i] <= 1.0)]
 
-    # Node n solves z_n = base + d * f(t_n, z_n, z(lam t_n)).  At t = 0, ABC
-    # keeps its pointwise f term (the jump amplitude on linear problems);
-    # CFC's f(t) - f(0) term vanishes there.  The loop serves node 0 and
-    # rejected leaves, whose nodes solve the leaf's own system z = v + A f(z)
-    # one at a time.  It reads and writes a row's z and f_hist through
-    # memoryviews, which give Python floats.
+    # The loop takes a rejected leaf's system with the v its leaf formed and
+    # d = diag, and node 0's one-node system z_0 = z0 + d f(z_0) with d the
+    # pointwise weight: ABC keeps its pointwise f term at t = 0 (the jump
+    # amplitude on linear problems), and CFC's f(t) - f(0) term vanishes
+    # there.  It reads and writes a row's z and f_hist through memoryviews,
+    # which give Python floats.
 
-    def steps(i: int, lo: int, hi: int) -> None:
-        """Solve row i's nodes lo .. hi-1 one at a time: node 0, or the leaf [lo, hi).
+    def steps(i: int, lo: int, hi: int, v: list, d: float) -> None:
+        """Solve row i's nodes lo .. hi-1 of z = v + A f(z), diagonal d, one at a time.
 
-        Node n of a leaf takes base = v[n-lo] + sum_{lo<=j<n} A[n-j] f_j,
-        one dot product over A's lags, and d = diag; v is the leaf's
-        :func:`history`.  The first node at or below the rounding floor,
-        4 eps times the row's running z_max, raises.
+        Node n takes base = v[n-lo] + sum_{lo<=j<n} A[n-j] f_j, one dot
+        product over A's lags, and solves z_n = base + d f(z_n).  The first
+        node at or below the rounding floor, 4 eps times the row's running
+        z_max, raises.
         """
         zs, fs, forcing, peak = z[i].data, f_hist[i].data, row_forcing[i], peaks[i]
-        base, d = z0, (c_point if op is OperatorKind.ABC else 0.0)
+        fh = f_hist[i]
         zn = zs[lo - 1] if lo else z0  # the previous node's value
-        if lo:
-            fh = f_hist[i]
-            v, d = history(lo, hi, far[i], fh).tolist(), diag
-            # A's lags in source order, a contiguous copy for a fast dot: node
-            # n takes the last n - lo
-            lags = a_col[hi - lo - 1:0:-1].copy()
+        # A's lags in source order, a contiguous copy for a fast dot: node n
+        # takes the last n - lo
+        lags = a_col[hi - lo - 1:0:-1].copy()
         stats["loop_nodes"] += hi - max(lo, 1)
         for n in range(lo, hi):
-            if n:
-                base = v[n - lo] + float(lags[hi - 1 - n:].dot(fh[lo:n]))
+            base = v[n - lo] + float(lags[hi - 1 - n:].dot(fh[lo:n]))
             # delayed value a + b * z_n
             if lam == 0.0:
                 a, b = z0, 0.0
@@ -688,7 +682,7 @@ def solve(
     # node 1; a row whose leaf is rejected solves it by the step loop.
     try:
         for row in range(len(z)):
-            steps(row, 0, 1)
+            steps(row, 0, 1, [z0], c_point if op is OperatorKind.ABC else 0.0)
         # CFC's pointwise term c_point (f(t) - f(0)) puts -c_point f(0) in
         # every node's history.  far is M + 2 long, as _lag_weights' end is
         far = np.full((len(z), n_steps + 2), end - c_point / c_hist if cfc else end)
@@ -699,10 +693,10 @@ def solve(
                for start in z[:, 0].tolist()]
         for s in (1, *range(_LEAF, n_steps + 1, _LEAF)):
             stop = min(s - s % _LEAF + _LEAF, n_steps + 1)
-            rejected = leaf(s, stop)
+            v, rejected = leaf(s, stop)
             stats["rejected_leaves"] += len(rejected)
             for row in rejected:
-                steps(row, s, stop)
+                steps(row, s, stop, v[row].tolist(), diag)
             if stop <= n_steps:
                 add_far(stop)
     except SolverError:

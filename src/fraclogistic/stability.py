@@ -18,10 +18,10 @@ the gap is interpolated linearly as the CLI interpolates a trajectory, so
 a horizon between two nodes is not measured at the node past it.
 
 The gap is the difference of two states of size up to z_max, the largest
-state of the stack at the nodes the deviation reads, so it carries an
-absolute rounding error of a few eps z_max: the rounding floor 4 eps
-z_max, at or below which :func:`solve` returns no state.  A deviation
-within _FLOOR_MULTIPLE floors of 0 is refused with
+state at every node of the stack, so it carries an absolute rounding
+error of a few eps z_max: the rounding floor 4 eps z_max, at or below
+which :func:`solve` returns no state.  A deviation within
+_FLOOR_MULTIPLE floors of 0 is refused with
 :class:`ConvergenceError`, since it would give c from rounding.  At
 eps = 1e-12 a deviation of about 600 floors already puts c 1e-4 off.
 """
@@ -85,7 +85,7 @@ def hyers_ulam_probe(params: ModelParams, cfg: SolveConfig, epsilons) -> Stabili
     nodes = int(cfg.t_end / cfg.h + 1e-9) + 1
     deviations = [max(float(gap[:nodes].max()), float(np.interp(cfg.t_end, runs.grid, gap)))
                   for gap in np.abs(runs.values[1:] - runs.values[0])]
-    floor = _FLOOR * float(runs.values[:, :nodes + 1].max())
+    floor = _FLOOR * float(runs.values.max())
     for eps, dev in zip(eps_list, deviations):
         if dev <= _FLOOR_MULTIPLE * floor:
             raise ConvergenceError(

@@ -697,15 +697,21 @@ class TestStacks:
             solve(p, SolveConfig(operator="abc", t_end=1.0, h=0.01), forcing=forcing)
 
     # at r = -3 a forcing of -2 makes z negative at a later step than -5; a
-    # stack raises its first failing row's error, whichever fails first in time
-    @pytest.mark.parametrize("operator, lam, late, early", [
-        ("abc", 0.0, 275, 121), ("caputo", 0.0, 182, 84), ("cfc", 0.0, 191, 133),
-        ("abc", 0.5, 269, 119), ("caputo", 0.5, 178, 82), ("cfc", 0.5, 188, 131)])
-    def test_errors_follow_the_rows(self, operator, lam, late, early):
-        p = ModelParams(r=-3.0, k=100.0, z0=10.0, mu=0.8, lam=lam)
-        cfg = SolveConfig(operator=operator, t_end=5.0, h=0.01)
-        for forcings, step in (((0.0, -2.0, -5.0), late), ((0.0, -5.0, -2.0), early),
-                               ((-2.0, 0.0), late)):
+    # stack raises its first failing row's error, whichever fails first in
+    # time.  At r = 1 an ABC forcing of -30 makes node 0 negative, in a later
+    # row too (CFC and Caputo fail it at steps 44 and 11)
+    @pytest.mark.parametrize("p, t_end, operator, cases", [
+        *(pytest.param(ModelParams(r=-3.0, k=100.0, z0=10.0, mu=0.8, lam=lam), 5.0, operator,
+                       (((0.0, -2.0, -5.0), late), ((0.0, -5.0, -2.0), early),
+                        ((-2.0, 0.0), late)), id=f"{operator}-{lam}-{late}-{early}")
+          for operator, lam, late, early in [
+              ("abc", 0.0, 275, 121), ("caputo", 0.0, 182, 84), ("cfc", 0.0, 191, 133),
+              ("abc", 0.5, 269, 119), ("caputo", 0.5, 178, 82), ("cfc", 0.5, 188, 131)]),
+        pytest.param(ModelParams(r=1.0, k=100.0, z0=10.0, mu=0.5, lam=0.5), 1.0, "abc",
+                     (((0.0, -30.0), 0), ((-30.0, 0.0), 0)), id="abc-0.5-node-0")])
+    def test_errors_follow_the_rows(self, p, t_end, operator, cases):
+        cfg = SolveConfig(operator=operator, t_end=t_end, h=0.01)
+        for forcings, step in cases:
             with pytest.raises(SolverError, match="non-positive") as excinfo:
                 solve(p, cfg, forcing=forcings)
             with pytest.raises(SolverError) as alone:
