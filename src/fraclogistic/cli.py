@@ -6,7 +6,7 @@ command takes only the flags its handler reads.
 
 Output is deterministic CSV (UTF-8, comma separated, LF line endings,
 header row, 12 significant digits), written to --output or stdout.
-Exit codes: 0 success, 2 invalid arguments, 3 solver failure.
+Exit codes: 0 success, 2 invalid arguments, 3 solver or convergence failure.
 
 A JSON config file (--config) may give any flag of the command by its long
 name ("t-end" or "t_end" both work).  Its values are parsed and validated

@@ -39,12 +39,12 @@ terms in ascending order, so values match term-by-term evaluation with
 geometric closed form sums the crude surrogate in which every term is
 replaced by z0 * q(t)^i with ratio
 
-    q(t) = (r/B) (1 - z0/k) (1 - mu + mu t^mu / Gamma(mu+1));
+    q(t) = (r/B) (1 - z0/k) psi(t),    psi(t) = 1 - mu + mu t^mu / Gamma(mu+1);
 
 the surrogate is first-order accurate only (the exact terms carry
 1/Gamma(i*mu + 1)-type denominators the pure power q^i lacks), so the
-two evaluations drift apart at order q^2; ``geometric_gap`` reports the
-discrepancy at runtime.
+two evaluations drift apart at order q^2: the difference of the two
+values measures it.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ __all__ = [
     "hsv_iterate",
     "hsv_evaluate",
     "geometric_closed_form",
-    "geometric_gap",
-    "psi_kernel",
     "HSV_SOLVER_AGREEMENT_RTOL",
 ]
 
@@ -288,47 +286,22 @@ def hsv_evaluate(sol: HsvSolution, t) -> HsvEvaluation:
     return HsvEvaluation(*(sol._unstack(np.concatenate(x)) for x in (value, last)))
 
 
-def psi_kernel(params: ModelParams, t):
-    """Time-domain kernel ``1 - mu + mu t^mu / Gamma(mu + 1)``.
-
-    ``t`` is a time or a 1-d array of times, as for
-    :meth:`HsvSolution.term_values`, giving a float or an array.
-    """
-    mu = params.mu
-    _, power = time_powers(t, mu)
-    psi = 1.0 - mu + mu * power / gamma_fn(mu + 1.0)
-    return psi if np.ndim(t) else float(psi[0])
-
-
 def geometric_closed_form(params: ModelParams, t) -> GeometricForm:
     """Sum the geometric surrogate ``z0 * sum_i q(t)^i = z0 / (1 - q)``.
 
-    ``t`` is a time or a 1-d array of times, as for :func:`psi_kernel`;
-    both fields then have its shape.  Raises :class:`ConvergenceError`
-    (carrying the ratio) at the first t where |q| >= 1.
+    The ratio is ``q = (r/B) (1 - z0/k) psi`` with the time-domain kernel
+    ``psi = 1 - mu + mu t^mu / Gamma(mu + 1)``.  ``t`` is a time or a 1-d
+    array of times, as for :meth:`HsvSolution.term_values`; both fields
+    then have its shape.  Raises :class:`ConvergenceError` (carrying the
+    ratio) at the first t where |q| >= 1.
     """
-    p = params
-    q = (p.r / p.b_norm) * (1.0 - p.z0 / p.k) * psi_kernel(p, t)
+    p, mu = params, params.mu
+    _, power = time_powers(t, mu)
+    q = (p.r / p.b_norm) * (1.0 - p.z0 / p.k) * (1.0 - mu + mu * power / gamma_fn(mu + 1.0))
+    q = q if np.ndim(t) else float(q[0])
     diverged = np.flatnonzero(np.abs(q) >= 1.0)
     if diverged.size:
-        first = diverged[0]
-        q_at, t_at = float(np.atleast_1d(q)[first]), float(np.atleast_1d(t)[first])
-        raise ConvergenceError(
-            f"geometric ratio |q| = {abs(q_at)} >= 1 at t = {t_at}; closed form diverges",
-            ratio=q_at,
-        )
+        q_at, t_at = (float(np.atleast_1d(x)[diverged[0]]) for x in (q, t))
+        raise ConvergenceError(f"geometric ratio |q| = {abs(q_at)} >= 1 at t = {t_at}; "
+                               "closed form diverges", ratio=q_at)
     return GeometricForm(value=p.z0 / (1.0 - q), ratio=q)
-
-
-def geometric_gap(sol: HsvSolution, t):
-    """Absolute difference between the partial sum and the geometric form.
-
-    ``t`` is a time or a 1-d array of times, giving a float or an array,
-    after the set axis of a stack.
-
-    Quantifies, at runtime, how far the exact kernel powers drift from
-    the pure ``q^i`` surrogate (zero only at q = 0).
-    """
-    sets, _ = sol._stack()
-    geometric = sol._unstack(np.array([geometric_closed_form(p, t).value for p in sets]))
-    return abs(hsv_evaluate(sol, t).value - geometric)

@@ -410,7 +410,7 @@ def solve(
     if forcing.ndim > 1 or not forcing.size or not np.isfinite(forcing).all():
         raise ValueError("forcing must be a finite float or a nonempty 1-d sequence of them, "
                          f"got {forcing!r}")
-    n_steps = max(1, int(math.ceil(cfg.t_end / h - 1e-9)))
+    n_steps = int(math.ceil(cfg.t_end / h - 1e-9))  # t_end >= h: one step at least
     # z, f_hist and far take 8 bytes a node each: 101 rows at the step limit
     # would ask for 4.8 GB before the first step; the peak adds, a row, the
     # largest history block's two FFT arrays of up to 4M/3 nodes each

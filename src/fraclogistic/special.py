@@ -225,7 +225,7 @@ def _series(mu: float, x: np.ndarray) -> np.ndarray:
             errors = np.minimum(before, terms) - (after - larger)
             errors[0] += comp
             comps = np.cumsum(errors, axis=0)
-            stop = (terms <= _CUTOFF * after) | (after == math.inf)
+            stop = terms <= _CUTOFF * after  # an infinite sum stops too
             # columns without a stop get a value here that a later block replaces
             at, cols = stop.argmax(axis=0), np.arange(len(active))
             final = after[at, cols]

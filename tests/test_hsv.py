@@ -11,10 +11,8 @@ from fraclogistic import (
     ModelParams,
     gamma_fn,
     geometric_closed_form,
-    geometric_gap,
     hsv_evaluate,
     hsv_iterate,
-    psi_kernel,
 )
 from fraclogistic import abc_exact_lambda0, classical_exact
 from fraclogistic.hsv import _MAX_WORK
@@ -333,7 +331,7 @@ class TestGeometricForm:
         sol = hsv_iterate(p, 12)
         for t in (0.01, 0.05, 0.2, 0.5):
             q = geometric_closed_form(p, t).ratio
-            gap = geometric_gap(sol, t)
+            gap = abs(hsv_evaluate(sol, t).value - geometric_closed_form(p, t).value)
             assert gap <= 2.0 * p.z0 * q ** 2
 
     def test_divergence_error_carries_ratio(self):
@@ -343,15 +341,18 @@ class TestGeometricForm:
         assert abs(excinfo.value.ratio) >= 1.0
 
     def test_kernel_value(self):
+        # the ratio is (r/B)(1 - z0/k) psi with psi = 1 - mu + mu t^mu / Gamma(mu + 1)
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0, lam=1.0)
-        assert psi_kernel(p, 2.0) == pytest.approx(2.0, rel=1e-15)
+        factor = (p.r / p.b_norm) * (1.0 - p.z0 / p.k)
+        assert factor == pytest.approx(0.09, rel=1e-15)
+        assert geometric_closed_form(p, 2.0).ratio == pytest.approx(factor * 2.0, rel=1e-15)
         p2 = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=1.0)
-        assert psi_kernel(p2, 0.0) == 0.5
+        assert geometric_closed_form(p2, 0.0).ratio == factor * 0.5
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, [0.5, math.nan]])
     def test_bad_times_raise(self, bad):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.9, lam=1.0)
-        for evaluate in (psi_kernel, geometric_closed_form, classical_exact):
+        for evaluate in (geometric_closed_form, classical_exact):
             with pytest.raises(ValueError, match="finite t >= 0") as excinfo:
                 evaluate(p, bad)
             assert not isinstance(excinfo.value, ConvergenceError)
@@ -364,10 +365,6 @@ class TestGeometricForm:
         assert all(isinstance(f.value, float) and isinstance(f.ratio, float) for f in points)
         np.testing.assert_array_equal(grid.value, [f.value for f in points])
         np.testing.assert_array_equal(grid.ratio, [f.ratio for f in points])
-        np.testing.assert_array_equal(psi_kernel(p, ts), [psi_kernel(p, t) for t in ts.tolist()])
-        sol = hsv_iterate(p, 8)
-        np.testing.assert_array_equal(geometric_gap(sol, ts),
-                                      [geometric_gap(sol, t) for t in ts.tolist()])
 
     def test_grid_reports_first_divergent_time(self):
         p = ModelParams(r=2.0, k=100.0, z0=10.0, mu=0.9, lam=1.0)
@@ -453,7 +450,6 @@ def test_scalar_time_on_a_stack():
     assert stack.term_values(1.5).shape == (len(sets), 7)
     for i, p in enumerate(sets):
         assert out.value[i] == hsv_evaluate(hsv_iterate(p, 6), 1.5).value
-        assert geometric_gap(stack, 1.5)[i] == geometric_gap(hsv_iterate(p, 6), 1.5)
 
 
 def test_stack_fails_at_its_first_failing_set():
