@@ -17,7 +17,6 @@ from .special import mittag_leffler  # noqa: F401
 __all__ = [
     "classical_exact",
     "abc_exact_lambda0",
-    "lambda0_amplitude",
 ]
 
 
@@ -49,45 +48,31 @@ def classical_exact(p: ModelParams, t):
     return z if np.ndim(t) else float(z[0])
 
 
-def _lambda0_terms(p: ModelParams) -> tuple:
-    """``B`` and ``r (1 - z0/k)(mu - 1)``, whose sum is the amplitude's denominator."""
-    return p.b_norm, p.r * (1.0 - p.z0 / p.k) * (p.mu - 1.0)
-
-
-def lambda0_amplitude(p: ModelParams) -> float:
-    """Amplitude ``A = B z0 / (B + r (1 - z0/k)(mu - 1))`` of the lam = 0 solution.
-
-    For mu < 1 this differs from z0: the integral form of the nonlocal
-    operator jumps at t = 0 whenever the right-hand side is nonzero there.
-    A -> z0 continuously as mu -> 1.  The denominator must be positive by
-    more than 1e-12 of its terms' size, or cancellation could make up A.
-    """
-    b, feedback = _lambda0_terms(p)
-    den = b + feedback
-    if den < 1e-12 * (b + abs(feedback)):
-        raise SingularParameterError(
-            f"b_norm + r(1 - z0/k)(mu - 1) = {den} is not (numerically) positive"
-        )
-    return p.b_norm * p.z0 / den
-
-
 def abc_exact_lambda0(p: ModelParams, t):
     """Exact solution of the constant-feedback (lam = 0) fractional model.
 
         z(t) = A * E_mu(q * t^mu),
+        A    = B z0 / (B + r (1 - z0/k)(mu - 1)),
         q    = r (1 - z0/k) mu / (B + r (1 - z0/k)(mu - 1)),
 
     a Mittag-Leffler-enhanced Malthusian growth law.  At mu = 1 it
     collapses to ``z0 * exp(r (1 - z0/k) t)``.  Note ``z(0) = A``, not z0,
-    for mu < 1 (see :func:`lambda0_amplitude`).
+    for mu < 1: the integral form of the nonlocal operator jumps at t = 0
+    whenever the right-hand side is nonzero there; A -> z0 continuously as
+    mu -> 1.  The shared denominator must be positive by more than 1e-12 of
+    its terms' size, or cancellation could make up A; otherwise
+    :class:`SingularParameterError` is raised.
 
     ``t`` is a time or a 1-d array of times, giving a float or an array;
     every t must be finite and >= 0.
     """
     _, power = special.time_powers(t, p.mu)
-    den = sum(_lambda0_terms(p))
-    amp = lambda0_amplitude(p)
-    rate = p.r * (1.0 - p.z0 / p.k) * p.mu / den
+    growth = p.r * (1.0 - p.z0 / p.k)
+    feedback = growth * (p.mu - 1.0)
+    den = p.b_norm + feedback
+    if den < 1e-12 * (p.b_norm + abs(feedback)):
+        raise SingularParameterError(f"b_norm + r(1 - z0/k)(mu - 1) = {den} is not "
+                                     "(numerically) positive")
     with np.errstate(over="ignore"):  # inf, as Python floats give
-        z = amp * special.mittag_leffler(p.mu, rate * power)
+        z = p.b_norm * p.z0 / den * special.mittag_leffler(p.mu, growth * p.mu / den * power)
     return z if np.ndim(t) else float(z[0])

@@ -293,15 +293,16 @@ def geometric_closed_form(params: ModelParams, t) -> GeometricForm:
     ``psi = 1 - mu + mu t^mu / Gamma(mu + 1)``.  ``t`` is a time or a 1-d
     array of times, as for :meth:`HsvSolution.term_values`; both fields
     then have its shape.  Raises :class:`ConvergenceError` (carrying the
-    ratio) at the first t where |q| >= 1.
+    ratio) at the first t where |q| >= 1 or q is nan (an overflow times 0).
     """
     p, mu = params, params.mu
-    _, power = time_powers(t, mu)
-    q = (p.r / p.b_norm) * (1.0 - p.z0 / p.k) * (1.0 - mu + mu * power / gamma_fn(mu + 1.0))
-    q = q if np.ndim(t) else float(q[0])
-    diverged = np.flatnonzero(np.abs(q) >= 1.0)
+    ts, power = time_powers(t, mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which diverge below
+        q = (p.r / p.b_norm) * (1.0 - p.z0 / p.k) * (1.0 - mu + mu * power / gamma_fn(mu + 1.0))
+    diverged = np.flatnonzero(~(np.abs(q) < 1.0))
     if diverged.size:
-        q_at, t_at = (float(np.atleast_1d(x)[diverged[0]]) for x in (q, t))
+        q_at, t_at = float(q[diverged[0]]), float(ts[diverged[0]])
         raise ConvergenceError(f"geometric ratio |q| = {abs(q_at)} >= 1 at t = {t_at}; "
                                "closed form diverges", ratio=q_at)
-    return GeometricForm(value=p.z0 / (1.0 - q), ratio=q)
+    value = p.z0 / (1.0 - q)
+    return GeometricForm(value, q) if np.ndim(t) else GeometricForm(float(value[0]), float(q[0]))

@@ -215,7 +215,7 @@ def _series(mu: float, x: np.ndarray) -> np.ndarray:
             # only a few more; the blocks double from there for the rest
             size = _BLOCK // 4
         while first <= _MAX_TERMS:
-            block = max(1, min(size, _CELLS // len(active), _MAX_TERMS + 1 - first))
+            block = min(size, _CELLS // len(active), _MAX_TERMS + 1 - first)
             lg = np.array([math.lgamma(n * mu + 1.0) for n in range(first, first + block)])
             terms = np.exp(np.arange(first, first + block, dtype=float)[:, None] * lx
                            - lg[:, None])

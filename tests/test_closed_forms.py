@@ -11,7 +11,6 @@ from fraclogistic import (
     SolveConfig,
     abc_exact_lambda0,
     classical_exact,
-    lambda0_amplitude,
     solve,
 )
 
@@ -120,7 +119,7 @@ class TestLambdaZeroForm:
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)
         amp = 10.0 / 0.955
         arg = 0.045 / 0.955
-        assert lambda0_amplitude(p) == pytest.approx(amp, rel=1e-14)
+        assert abc_exact_lambda0(p, 0.0) == pytest.approx(amp, rel=1e-14)
         expected = amp * erfcx(-arg)  # erfcx(-x) = e^{x^2} erfc(-x) = E_{1/2}(x)
         assert abc_exact_lambda0(p, 1.0) == pytest.approx(expected, rel=1e-10)
 
@@ -134,13 +133,13 @@ class TestLambdaZeroForm:
 
     def test_initial_value_is_amplitude_not_datum(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.6, lam=0.0)
-        amp = lambda0_amplitude(p)
-        assert abc_exact_lambda0(p, 0.0) == amp
+        amp = abc_exact_lambda0(p, 0.0)
+        assert amp == p.b_norm * p.z0 / (p.b_norm + p.r * (1 - p.z0 / p.k) * (p.mu - 1))
         assert amp != p.z0
 
     def test_amplitude_restores_datum_in_classical_limit(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0 - 1e-8, lam=0.0)
-        assert abs(lambda0_amplitude(p) - p.z0) < 1e-6
+        assert abs(abc_exact_lambda0(p, 0.0) - p.z0) < 1e-6
 
     def test_singular_denominator(self):
         # b_norm + r (1 - z0/k)(mu - 1) = 1 + 2*(-0.5) = 0
@@ -152,14 +151,14 @@ class TestLambdaZeroForm:
         # b_norm + r (1 - z0/k)(mu - 1) = 1 + 4.5*(-0.5) < 0 gives A = -8 < 0
         p = ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.5, lam=0.0)
         with pytest.raises(SingularParameterError, match="-1.25"):
-            lambda0_amplitude(p)
+            abc_exact_lambda0(p, 0.0)
         with pytest.raises(SingularParameterError):
             abc_exact_lambda0(p, 1.0)
 
     def test_small_normalization_is_not_singular(self):
         # the denominator is b_norm = 1e-13 itself: small, but nothing cancels
         p = ModelParams(r=0.0, k=100.0, z0=10.0, mu=0.5, lam=0.0, b_norm=1e-13)
-        assert lambda0_amplitude(p) == p.z0
+        assert abc_exact_lambda0(p, 0.0) == p.z0
         ts = np.linspace(0.0, 2.0, 201)
         traj = solve(p, SolveConfig(OperatorKind.ABC, 2.0, 0.01))
         np.testing.assert_array_equal(abc_exact_lambda0(p, ts), traj.values)

@@ -340,6 +340,22 @@ class TestGeometricForm:
             geometric_closed_form(p, 10.0)
         assert abs(excinfo.value.ratio) >= 1.0
 
+    def test_overflowing_ratio_diverges_without_warning(self):
+        # q overflows to inf at t = 10; a grid still reports its first
+        # divergent point, t = 0, with no warning from the later overflow
+        p = ModelParams(r=1e308, k=100.0, z0=10.0, mu=0.5, lam=1.0)
+        with pytest.raises(ConvergenceError, match="= inf >= 1 at t = 10.0;") as excinfo:
+            geometric_closed_form(p, 10.0)
+        assert excinfo.value.ratio == math.inf
+        with pytest.raises(ConvergenceError, match=r"at t = 0\.0;") as excinfo:
+            geometric_closed_form(p, [0.0, 10.0])
+        assert 1.0 <= excinfo.value.ratio < math.inf
+        # with B = 1e-13 and mu = 1, r/B is inf and psi(0) = 0: q = inf * 0 = nan
+        p = ModelParams(r=1e300, k=100.0, z0=10.0, mu=1.0, lam=1.0, b_norm=1e-13)
+        with pytest.raises(ConvergenceError, match=r"\|q\| = nan >= 1 at t = 0\.0;") as excinfo:
+            geometric_closed_form(p, 0.0)
+        assert math.isnan(excinfo.value.ratio)
+
     def test_kernel_value(self):
         # the ratio is (r/B)(1 - z0/k) psi with psi = 1 - mu + mu t^mu / Gamma(mu + 1)
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0, lam=1.0)

@@ -17,7 +17,6 @@ from fraclogistic import (
     abc_exact_lambda0,
     classical_exact,
     compare_operators,
-    lambda0_amplitude,
     logistic_rhs,
     mittag_leffler,
     solve,
@@ -76,7 +75,7 @@ class TestLambdaZeroOracle:
     def test_initial_node_is_jump_amplitude(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)
         traj = solve(p, SolveConfig(operator="abc", t_end=1.0, h=0.01))
-        assert traj.values[0] == pytest.approx(lambda0_amplitude(p), rel=1e-10)
+        assert traj.values[0] == pytest.approx(abc_exact_lambda0(p, 0.0), rel=1e-10)
 
     def test_cfc_caputo_start_at_datum(self):
         p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=0.0)
@@ -370,7 +369,7 @@ class TestFailureModes:
             solve(p, SolveConfig(operator="abc", t_end=0.1, h=0.01))
         assert excinfo.value.step == 0
         with pytest.raises(SingularParameterError):
-            lambda0_amplitude(p)
+            abc_exact_lambda0(p, 0.0)
 
     def test_double_root_at_zero_is_at_the_rounding_floor(self):
         # ABC's node 0 at lam = 1: qb = 1 - (1 - mu) r = 0 and qc = z0 +
