@@ -34,8 +34,8 @@ from . import special
 from .closed_forms import abc_exact_lambda0, classical_exact
 from .errors import ConvergenceError, SolverError
 from .hsv import geometric_closed_form, hsv_evaluate, hsv_iterate
-from .model import ModelParams
-from .solvers import OperatorKind, SolveConfig, compare_operators, solve
+from .model import ModelParams, OperatorKind
+from .solvers import SolveConfig, compare_operators, solve
 # perfbench/tracing.py wraps this name; calls go through ``special`` so that
 # array arguments bypass its scalar-only wrapper.
 from .special import mittag_leffler  # noqa: F401

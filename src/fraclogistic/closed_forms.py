@@ -8,7 +8,7 @@ import numpy as np
 
 from . import special
 from .errors import SingularParameterError
-from .model import ModelParams
+from .model import ModelParams, OperatorKind, _operator_row
 
 # perfbench/tracing.py wraps this name; calls go through ``special`` so that
 # array arguments bypass its scalar-only wrapper.
@@ -59,20 +59,25 @@ def abc_exact_lambda0(p: ModelParams, t):
     collapses to ``z0 * exp(r (1 - z0/k) t)``.  Note ``z(0) = A``, not z0,
     for mu < 1: the integral form of the nonlocal operator jumps at t = 0
     whenever the right-hand side is nonzero there; A -> z0 continuously as
-    mu -> 1.  The shared denominator must be positive by more than 1e-12 of
-    its terms' size, or cancellation could make up A; otherwise
-    :class:`SingularParameterError` is raised.
+    mu -> 1.  B, 1 - mu and mu are the ABC row of ``model._operator_row``.
+    The shared denominator must be positive by more than 1e-12 of its
+    terms' size, or cancellation could make up A, and the rate q must be
+    finite; otherwise :class:`SingularParameterError` is raised.
 
     ``t`` is a time or a 1-d array of times, giving a float or an array;
     every t must be finite and >= 0.
     """
-    _, power = special.time_powers(t, p.mu)
+    e, point, quad, norm, _ = _operator_row(OperatorKind.ABC, p)
+    _, power = special.time_powers(t, e)
     growth = p.r * (1.0 - p.z0 / p.k)
-    feedback = growth * (p.mu - 1.0)
-    den = p.b_norm + feedback
-    if den < 1e-12 * (p.b_norm + abs(feedback)):
+    feedback = growth * point  # -r(1 - z0/k)(mu - 1), bit for bit
+    den = norm - feedback
+    if den < 1e-12 * (norm + abs(feedback)):
         raise SingularParameterError(f"b_norm + r(1 - z0/k)(mu - 1) = {den} is not "
                                      "(numerically) positive")
+    rate = growth * quad / den
+    if not math.isfinite(rate):  # times t^mu = 0 it would give nan
+        raise SingularParameterError(f"the rate q = r(1 - z0/k) mu / {den} = {rate} is not finite")
     with np.errstate(over="ignore"):  # inf, as Python floats give
-        z = p.b_norm * p.z0 / den * special.mittag_leffler(p.mu, growth * p.mu / den * power)
+        z = norm * p.z0 / den * special.mittag_leffler(e, rate * power)
     return z if np.ndim(t) else float(z[0])

@@ -4,11 +4,12 @@ The scheme generates correction terms x_0, x_1, x_2, ... for
 
     D^mu z(t) = r z(t) (1 - z(lam*t)/k),    z(0) = z0,
 
-where D^mu is the order-mu derivative with Mittag-Leffler memory and
-normalization B = b_norm.  Starting from the constant x_0 = z0, each step
-transports the previous term and its Adomian polynomial to the Sumudu
-domain, applies the Lagrange-multiplier kernel (1 - mu + mu u^mu), scales
-by r/B and transforms back:
+where D^mu is the order-mu derivative with Mittag-Leffler memory.  Starting
+from the constant x_0 = z0, each step transports the previous term and its
+Adomian polynomial to the Sumudu domain, applies the Lagrange-multiplier
+kernel (point + quad u^e), scales by r/norm and transforms back, with e,
+point, quad and norm the ABC row of ``model._operator_row`` (e = mu,
+point = 1 - mu, quad = mu, norm = B = b_norm):
 
     x_{n+1} = (1/B) S^-1[ r (1 - mu + mu u^mu) (S[x_n] - S[P_n]/k) ].
 
@@ -37,7 +38,7 @@ Horner's rule in t^mu over their columns; the truncated solution adds the
 terms in ascending order, so values match term-by-term evaluation with
 :func:`fraclogistic.series.eval_series` bit for bit.  A separate
 geometric closed form sums the crude surrogate in which every term is
-replaced by z0 * q(t)^i with ratio
+replaced by z0 * q(t)^i with ratio, from the same row,
 
     q(t) = (r/B) (1 - z0/k) psi(t),    psi(t) = 1 - mu + mu t^mu / Gamma(mu+1);
 
@@ -57,7 +58,7 @@ import numpy as np
 # perfbench/tracing.py wraps these series-layer names where hsv looks them up.
 from .adomian import adomian_delayed_product  # noqa: F401
 from .errors import ConvergenceError
-from .model import ModelParams
+from .model import ModelParams, OperatorKind, _operator_row
 from .series import (  # noqa: F401
     eval_series,
     kernel_multiply,
@@ -235,8 +236,10 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
     c = np.zeros((len(g), size, size))
     for part in _chunks(len(g), size * size):
         cs, gs, ds = c[part], g[part], delay[part]
-        z0, mu, factor, neg_k, lam = np.array([(p.z0, p.mu, p.r / p.b_norm, -1.0 / p.k, p.lam)
-                                               for p in sets[:len(g)][part]]).T[..., None]
+        # the kernel (point + quad u^mu) r/norm, from each set's ABC row
+        rows = [(p.z0, quad, point, p.r / norm, -1.0 / p.k, p.lam) for p in sets[:len(g)][part]
+                for _, point, quad, norm, _ in [_operator_row(OperatorKind.ABC, p)]]
+        z0, quad, point, factor, neg_k, lam = np.array(rows).T[..., None]
         cs[:, 0, :1] = z0
         s = np.zeros_like(cs)  # row i holds the delayed x_i
         s[:, 0] = cs[:, 0] * ds
@@ -250,8 +253,8 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
                 d = cs[:, m - 1, :m] * gs[:, :m] + neg_k * (poly * gs[:, :m])
                 # accumulated from zeros in kernel_multiply's order, signed zeros too
                 e = np.zeros((len(cs), m + 1))
-                e[:, 1:] += mu * d
-                e[:, :-1] += (1.0 - mu) * d
+                e[:, 1:] += quad * d
+                e[:, :-1] += point * d
                 cs[:, m, :m + 1] = factor * e / gs[:, :m + 1]
                 if not np.isfinite(cs[0, m]).all():
                     break  # the chunk's first set fails, and no set before it
@@ -290,15 +293,21 @@ def geometric_closed_form(params: ModelParams, t) -> GeometricForm:
     """Sum the geometric surrogate ``z0 * sum_i q(t)^i = z0 / (1 - q)``.
 
     The ratio is ``q = (r/B) (1 - z0/k) psi`` with the time-domain kernel
-    ``psi = 1 - mu + mu t^mu / Gamma(mu + 1)``.  ``t`` is a time or a 1-d
-    array of times, as for :meth:`HsvSolution.term_values`; both fields
-    then have its shape.  Raises :class:`ConvergenceError` (carrying the
-    ratio) at the first t where |q| >= 1 or q is nan (an overflow times 0).
+    ``psi = 1 - mu + mu t^mu / Gamma(mu + 1)``, B, 1 - mu and mu from the
+    ABC row of ``model._operator_row``.  An equilibrium start, 1 - z0/k =
+    0, gives q = 0 and the value z0 even where r/B overflows.  ``t`` is a
+    time or a 1-d array of times, as for :meth:`HsvSolution.term_values`;
+    both fields then have its shape.  Raises :class:`ConvergenceError`
+    (carrying the ratio) at the first t where |q| >= 1 or q is nan (an
+    overflow times 0).
     """
-    p, mu = params, params.mu
-    ts, power = time_powers(t, mu)
+    p = params
+    e, point, quad, norm, _ = _operator_row(OperatorKind.ABC, p)
+    ts, power = time_powers(t, e)
+    room = 1.0 - p.z0 / p.k  # capacity left
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which diverge below
-        q = (p.r / p.b_norm) * (1.0 - p.z0 / p.k) * (1.0 - mu + mu * power / gamma_fn(mu + 1.0))
+        q = ((p.r / norm) * room * (point + quad * power / gamma_fn(e + 1.0)) if room
+             else np.zeros(len(ts)))
     diverged = np.flatnonzero(~(np.abs(q) < 1.0))
     if diverged.size:
         q_at, t_at = float(q[diverged[0]]), float(ts[diverged[0]])

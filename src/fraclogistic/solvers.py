@@ -6,18 +6,12 @@ forms, all one kernel form
     z(t) = z0 + c_point * f(t) + c_quad * I^e[f](t),
     I^e[f](t) = int_0^t (t - s)^(e-1) f(s) ds,
 
-with f(t) = r z(t) (1 - z(lam t)/k) + forcing and, for normalization
-B = ``ModelParams.b_norm`` (default 1, so that all mu = 1 limits coincide
-with the classical ODE),
-
-    operator  kernel          e    c_point     c_quad
-    ABC       Mittag-Leffler  mu   (1-mu)/B    mu/(B Gamma(e))
-    CFC       exponential     1    (1-mu)/B    mu/(B Gamma(e)) = mu/B
-    Caputo    power law       mu   0           1/Gamma(e)
-
-CFC's pointwise term is c_point (f(t) - f(0)), so that it starts at z0;
-its I^1[f] is the plain integral of f.  The -c_point f(0) part is history
-that every node shares, so the operators differ only in these data.
+with f(t) = r z(t) (1 - z(lam t)/k) + forcing.  The operator's row in
+``model._operator_row`` gives the kernel exponent e, c_point = point/norm,
+c_quad = quad/(norm Gamma(e)) and whether the run starts at the datum z0.
+A datum operator's pointwise term is c_point (f(t) - f(0)), so CFC starts
+at z0; its I^1[f] is the plain integral of f.  The -c_point f(0) part is
+history that every node shares, so the operators differ only in their rows.
 
 The integral uses product integration on a uniform grid:
 the smooth factor f is replaced by its piecewise-linear interpolant
@@ -46,8 +40,8 @@ nearest z_{n-1} when A != 0).  No real root, a non-finite root or a root
 at or below the rounding floor (below) raises :class:`SolverError` with
 the step index.
 
-Initial node: t = 0 is solved by the same step, with pointwise weight
-(1-mu)/B for ABC and 0 for CFC and Caputo.  Weight 0 returns the datum z0
+Initial node: t = 0 is solved by the same step, with pointwise weight 0
+for a datum operator and c_point otherwise.  Weight 0 returns the datum z0
 exactly, so CFC and Caputo start at z0, while ABC starts at the root of its
 implicit relation at t = 0 (the jump amplitude on linear problems).
 
@@ -106,7 +100,7 @@ with v and the diagonal d from its caller: node n of [s, stop), given the
 nodes before it, solves z_n = v[n-s] + sum over s <= j < n of A[n-j] f_j,
 plus d f(z_n).  A rejected leaf hands it the v its sweeps used and d =
 diag.  Node 0 is the one-node system z_0 = z0 + d f(z_0), with d the
-pointwise weight: (1-mu)/B for ABC and 0 for CFC and Caputo.  A leaf
+pointwise weight: 0 for a datum operator and c_point otherwise.  A leaf
 costs 256 * 255 / 2 multiply-adds, one dot product a node.  The loop adds
 no history block: the blocks are added at leaf boundaries only, after the
 leaf's nodes are final.
@@ -140,7 +134,6 @@ admissible root raises :class:`SolverError` instead).
 from __future__ import annotations
 
 import collections
-import enum
 import functools
 import math
 from collections.abc import Sequence
@@ -150,11 +143,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SolverError
-from .model import ModelParams, logistic_rhs
+from .model import ModelParams, OperatorKind, _operator_row, logistic_rhs
 from .special import gamma_fn
 
 __all__ = [
-    "OperatorKind",
     "SolveConfig",
     "Trajectory",
     "OperatorComparison",
@@ -196,14 +188,6 @@ _GL_WEIGHTS = (0.5 * np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
                * (1.0 - _GL_NODES))
 _SERIES_LAG = 64
 _SERIES_TERMS = 9
-
-
-class OperatorKind(enum.Enum):
-    """Fractional operator selector for the numerical solvers."""
-
-    ABC = "abc"
-    CFC = "cfc"
-    CAPUTO = "caputo"
 
 
 @dataclass(frozen=True)
@@ -404,7 +388,6 @@ def solve(
     """
     p = params
     h = cfg.h
-    mu = p.mu
     r, k, z0, lam = p.r, p.k, p.z0, (p.lam if pantograph else 1.0)
     forcing = np.asarray(forcing, dtype=float)
     if forcing.ndim > 1 or not forcing.size or not np.isfinite(forcing).all():
@@ -429,13 +412,8 @@ def solve(
         """f(i, row i of x) for every row, stacked like x; a stack of one takes a view."""
         return np.array([f(i, row) for i, row in enumerate(x)]) if len(x) > 1 else f(0, x[0])[None]
 
-    op = cfg.operator
-    cfc = op is OperatorKind.CFC
-    e = 1.0 if cfc else mu  # the kernel exponent
-    if op is OperatorKind.CAPUTO:
-        c_point, c_quad = 0.0, 1.0 / gamma_fn(e)
-    else:
-        c_point, c_quad = (1.0 - mu) / p.b_norm, mu / (p.b_norm * gamma_fn(e))
+    e, point, quad, norm, datum = _operator_row(cfg.operator, p)  # e: the kernel exponent
+    c_point, c_quad = point / norm, quad / (norm * gamma_fn(e))
     # c_hist: the weight of f(t_n) in its own quadrature, and the scale of
     # the lag weights w
     c_hist = c_quad * (h ** e / (e * (e + 1.0)))
@@ -606,9 +584,9 @@ def solve(
     # The loop takes a rejected leaf's system with the v its leaf formed and
     # d = diag, and node 0's one-node system z_0 = z0 + d f(z_0) with d the
     # pointwise weight: ABC keeps its pointwise f term at t = 0 (the jump
-    # amplitude on linear problems), and CFC's f(t) - f(0) term vanishes
-    # there.  It reads and writes a row's z and f_hist through memoryviews,
-    # which give Python floats.
+    # amplitude on linear problems), and a datum operator's f(t) - f(0)
+    # term vanishes there.  It reads and writes a row's z and f_hist
+    # through memoryviews, which give Python floats.
 
     def steps(i: int, lo: int, hi: int, v: list, d: float) -> None:
         """Solve row i's nodes lo .. hi-1 of z = v + A f(z), diagonal d, one at a time.
@@ -682,10 +660,11 @@ def solve(
     # node 1; a row whose leaf is rejected solves it by the step loop.
     try:
         for row in range(len(z)):
-            steps(row, 0, 1, [z0], c_point if op is OperatorKind.ABC else 0.0)
-        # CFC's pointwise term c_point (f(t) - f(0)) puts -c_point f(0) in
-        # every node's history.  far is M + 2 long, as _lag_weights' end is
-        far = np.full((len(z), n_steps + 2), end - c_point / c_hist if cfc else end)
+            steps(row, 0, 1, [z0], 0.0 if datum else c_point)
+        # a datum operator's pointwise term c_point (f(t) - f(0)) puts
+        # -c_point f(0) in every node's history (CFC's; Caputo's c_point is
+        # 0).  far is M + 2 long, as _lag_weights' end is
+        far = np.full((len(z), n_steps + 2), end - c_point / c_hist if datum and c_point else end)
         far *= f_hist[:, :1]
         # f's slope at node 0: the datum feeds back at lam = 0; otherwise
         # z(lam t) moves with z, as it does inside the first leaf
@@ -706,8 +685,8 @@ def solve(
     stats["leaf_nodes"] = n_steps * len(z) - stats["loop_nodes"]
     stats["inverses_built"] = _leaf_inverse.cache_info().misses - built
 
-    return Trajectory(grid=grid, values=z.reshape(*forcing.shape, -1), operator=op, params=p,
-                      stats=stats)
+    return Trajectory(grid=grid, values=z.reshape(*forcing.shape, -1), operator=cfg.operator,
+                      params=p, stats=stats)
 
 
 def compare_operators(params: ModelParams, cfg_base: SolveConfig) -> OperatorComparison:

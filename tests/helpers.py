@@ -126,6 +126,42 @@ def reference_solve(params, cfg, *, forcing=0.0, pantograph=True, tol=1e-14,
     return z
 
 
+def stability_lambda0(operator, params, t):
+    """The Hyers-Ulam constant c = delta(t)/eps of the lam = 0 model, in closed form.
+
+    At lam = 0 the feedback is the datum, so f = a z + eps with a = r (1 -
+    z0/k) != 0, and the deviation delta of the eps-forced run solves the
+    operator's linear integral form with forcing eps.  For every operator
+
+        c = (alpha E_e(q t^e) - 1) / a,
+
+    with, for normalisation B,
+        ABC:    e = mu, den = B + a (mu - 1), q = a mu / den, alpha = B / den;
+        Caputo: e = mu, q = a, alpha = 1;
+        CFC:    e = 1,  q = a (mu/B) / (1 - a (1 - mu)/B), alpha = 1.
+    E_e(x) = sum_j x^j / Gamma(e j + 1) is summed with mpmath at 40 digits,
+    apart from the package's ``mittag_leffler``.  This is c at t; the probe
+    reports the largest c up to its horizon, the same where delta grows.
+    """
+    p = params
+    with mpmath.workdps(40):
+        mu, b, a = mpmath.mpf(p.mu), mpmath.mpf(p.b_norm), p.r * (1 - mpmath.mpf(p.z0) / p.k)
+        if operator is OperatorKind.ABC:
+            e, den = mu, b + a * (mu - 1)
+            q, alpha = a * mu / den, b / den
+        elif operator is OperatorKind.CAPUTO:
+            e, q, alpha = mu, a, 1
+        else:
+            e, q, alpha = 1, a * (mu / b) / (1 - a * (1 - mu) / b), 1
+        x = q * mpmath.mpf(t) ** e
+        total, term, j = mpmath.mpf(0), mpmath.mpf(1), 0
+        while abs(term) > mpmath.mpf(10) ** -45 * abs(total) or j == 0:
+            term = x ** j / mpmath.gamma(e * j + 1)
+            total += term
+            j += 1
+        return float((alpha * total - 1) / a)
+
+
 def convolution_check(f, g, rtol=1e-12):
     """Verify ``S[(f*g)(t)] = u * S[f](u) * S[g](u)`` on integer powers.
 

@@ -622,6 +622,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and rule in err
 
+    def test_overflowing_lambda0_rate_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "exact-lambda0", "--r", "-1e308", "--z0", "1e-300",
+                                 "--mu", "1", "--b-norm", "1e-13", "--points", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the rate q = r(1 - z0/k) mu / 1e-13 = -inf is not finite\n"
+
+    def test_equilibrium_closed_form_with_overflowing_rate(self, capsys):
+        code, out, err = run_cli(capsys, "closed-form", "--r", "1e300", "--z0", "100",
+                                 "--b-norm", "1e-13", "--mu", "0.5", "--points", "3")
+        assert (code, out, err) == (0, "t,z\n0,100\n5,100\n10,100\n", "")
+
     @pytest.mark.parametrize("argv, flag", [
         (("surface", "--vary", "mu", "--to", "inf"), "--to"),
         (("exact-lambda0", "--vary", "mu", "--to", "inf"), "--to"),

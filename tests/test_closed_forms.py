@@ -168,6 +168,14 @@ class TestLambdaZeroForm:
         with pytest.raises(ValueError):
             abc_exact_lambda0(p, -0.5)
 
+    @pytest.mark.parametrize("t", [0.0, [0.0, 1.0]])
+    def test_overflowing_rate_is_named(self, t):
+        # r(1 - z0/k) mu / B = -1e308 / 1e-13 overflows; times t^mu = 0 it
+        # would give nan, with a warning, and an error that names no rate
+        p = ModelParams(r=-1e308, k=100.0, z0=1e-300, mu=1.0, lam=0.0, b_norm=1e-13)
+        with pytest.raises(SingularParameterError, match=r"the rate q = .* = -inf is not finite"):
+            abc_exact_lambda0(p, t)
+
 
 class TestLambdaZeroGrid:
     # growth (q > 0), decay from above capacity (q < 0), the classical

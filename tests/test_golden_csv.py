@@ -69,6 +69,15 @@ GOLDEN = [
      "74f6c16cc45f1fbec62af8fd44afcc9fc24c001292d3db3754cc569586c1a234"),
     (["convergence", "--n-max", "2", "--points", "4200"],
      "e4e7cef72bdb8d9b00ecbd56d89b5e54518c23785110cc03462ba6a897665c79"),
+    # b_norm != 1: every route divides by B in its own order
+    (["compare", "--b-norm", "2.5", "--mu", "0.7", "--lambda", "0.5"],
+     "4cb3147d0046c7025cc869e91164f84525b5a73098bd3e323543195de0a097a0"),
+    (["hsv", "--b-norm", "2.5", "--mu", "0.7", "--lambda", "0.5"],
+     "ec44bbb57a45eb042fb0e964f105778d4b53bb3a357017629fe7a21c50c73e9e"),
+    (["exact-lambda0", "--b-norm", "2.5", "--mu", "0.7"],
+     "da6338e6c2b974dfed39ccece4e4b024d908c99f844aff58479dda11cf83bcab"),
+    (["closed-form", "--b-norm", "2.5", "--mu", "0.7"],
+     "182d7e71a6f1a5d4f2a65140b2e22c44d5873833a0b9a280bb5d6c4e8064ca9e"),
 ]
 
 

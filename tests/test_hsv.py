@@ -334,6 +334,15 @@ class TestGeometricForm:
             gap = abs(hsv_evaluate(sol, t).value - geometric_closed_form(p, t).value)
             assert gap <= 2.0 * p.z0 * q ** 2
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    def test_equilibrium_start_with_overflowing_rate(self, mu):
+        # r/B overflows to inf, but 1 - z0/k = 0: q is 0, not inf * 0 = nan
+        p = ModelParams(r=1e300, k=100.0, z0=100.0, mu=mu, lam=1.0, b_norm=1e-13)
+        out = geometric_closed_form(p, [0.0, 1.0, 10.0])
+        np.testing.assert_array_equal(out.value, p.z0)
+        np.testing.assert_array_equal(out.ratio, 0.0)
+        assert geometric_closed_form(p, 1.0) == (p.z0, 0.0)
+
     def test_divergence_error_carries_ratio(self):
         p = ModelParams(r=5.0, k=100.0, z0=10.0, mu=0.9, lam=1.0)
         with pytest.raises(ConvergenceError) as excinfo:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from helpers import stability_lambda0
 
 from fraclogistic import (
     ModelParams,
+    OperatorKind,
     SolveConfig,
     gamma_fn,
     hyers_ulam_probe,
@@ -91,3 +95,46 @@ def test_probe_is_one_stacked_solve(monkeypatch):
     for eps, dev in zip(report.epsilons, report.deviations):
         alone = solve(P, CFG, forcing=eps).values - solve(P, CFG).values
         assert dev == np.abs(alone).max()
+
+
+# The probe's convergence orders against the lam = 0 closed form, over the
+# halvings h = 0.01 -> 0.005 -> 0.0025 at t_end = 10 (r = 0.1, k = 100,
+# z0 = 10), as measured when the oracle was added; each must hold to 0.05.
+# The product trapezoid's order is 1 + mu for a singular kernel at t = 0,
+# and 2 for the constant kernel (CFC, and every operator at mu = 1).
+LAMBDA0_ORDERS = {
+    (OperatorKind.ABC, 0.5): (1.498, 1.499),
+    (OperatorKind.ABC, 0.7): (1.676, 1.681),
+    (OperatorKind.ABC, 0.9): (1.673, 1.716),
+    (OperatorKind.ABC, 1.0): (2.000, 2.000),
+    (OperatorKind.CAPUTO, 0.5): (1.497, 1.498),
+    (OperatorKind.CAPUTO, 0.7): (1.669, 1.675),
+    (OperatorKind.CAPUTO, 0.9): (1.629, 1.686),
+    (OperatorKind.CAPUTO, 1.0): (2.000, 2.000),
+    (OperatorKind.CFC, 0.5): (2.000, 2.000),
+    (OperatorKind.CFC, 0.7): (2.000, 2.000),
+    (OperatorKind.CFC, 0.9): (2.000, 2.000),
+    (OperatorKind.CFC, 1.0): (2.000, 2.000),
+}
+
+
+@pytest.mark.parametrize("operator, mu", LAMBDA0_ORDERS, ids=lambda x: getattr(x, "value", x))
+def test_lambda0_probe_converges_to_closed_form(operator, mu):
+    p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=mu, lam=0.0)
+    exact = stability_lambda0(operator, p, 10.0)
+    errors = [abs(hyers_ulam_probe(p, SolveConfig(operator, 10.0, h), [1e-2]).c_estimates[0]
+                  - exact) for h in (0.01, 0.005, 0.0025)]
+    assert errors[-1] < 2e-7 * exact
+    for coarse, fine, measured in zip(errors, errors[1:], LAMBDA0_ORDERS[operator, mu]):
+        assert math.log2(coarse / fine) >= measured - 0.05
+
+
+def test_lambda0_oracle_reduces_to_classical_deviation():
+    # at mu = 1 every operator is the ODE z' = (a z + eps)/norm, with norm = B
+    # for ABC and CFC and 1 for Caputo: c = (e^{a t/norm} - 1)/a
+    p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=1.0, lam=0.0, b_norm=2.5)
+    a = p.r * (1.0 - p.z0 / p.k)
+    for operator in OperatorKind:
+        norm = 1.0 if operator is OperatorKind.CAPUTO else p.b_norm
+        expected = math.expm1(a * 10.0 / norm) / a
+        assert stability_lambda0(operator, p, 10.0) == pytest.approx(expected, rel=1e-15)
