@@ -198,14 +198,16 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
 
     Step n builds only ``P_n``: row p of ``prod`` collects the Cauchy
     product of x_p with the delayed x_{n-p}, and the rows are summed in
-    ascending p.  ``n_terms`` may be at most 200, and ``Gamma(n_terms*mu +
-    1)`` must be finite (n_terms * mu below about 170); otherwise, or when
-    a coefficient overflows, ``ValueError`` is raised for the first set, in
-    stack order, that fails.  A stack's work, P (n_terms + 1)^3 for P sets
-    (a cap fitted to measured times, not a flop count), may be at most
-    ``_MAX_WORK`` = 90 * 201^3, about 7.3e8: the 90 sets of ``surface
-    --vary both`` at n = 200, or 1001 sets at n = 89.  A larger
-    stack raises ``ValueError`` before any Gamma table is built.
+    ascending p.  ``n_terms`` may be at most 200.  A stack's work, P
+    (n_terms + 1)^3 for P sets (a cap fitted to measured times, not a flop
+    count), may be at most ``_MAX_WORK`` = 90 * 201^3, about 7.3e8: the 90
+    sets of ``surface --vary both`` at n = 200, or 1001 sets at n = 89.
+    ``Gamma(n_terms*mu + 1)`` must be finite for every set (n_terms * mu
+    below about 170).  Each of these raises ``ValueError`` before any set
+    is built: the first two before any Gamma table, the Gamma range at the
+    first such mu in stack order.  Only then are the sets built, in order,
+    and a coefficient that overflows raises ``ValueError`` for the first
+    set whose build fails.
     """
     if not isinstance(n_terms, int) or n_terms < 1:
         raise ValueError(f"n_terms must be a positive integer, got {n_terms!r}")
@@ -220,26 +222,25 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
     if work > _MAX_WORK:
         raise ValueError(f"a stack of {len(sets)} sets at n_terms = {n_terms} is too large: "
                          f"sets * (n_terms + 1)^3 = {work:.3g} exceeds {_MAX_WORK:.3g}")
-    tables, g, delay, overflow = {}, [], [], None
+    tables, g, delay, rows = {}, [], [], []
     for p in sets:  # arrays, not lists of floats: 1001 sets at n = 60 would hold 4 MB
         if p.mu not in tables:  # one Gamma table per mu
             try:
                 tables[p.mu] = np.fromiter((gamma_fn(k * p.mu + 1.0) for k in range(size)),
                                            float, size)
-            except OverflowError:  # raised once the sets before it are built
-                overflow = (f"Gamma(n_terms*mu + 1) overflows for n_terms = {n_terms}, "
-                            f"mu = {p.mu}; n_terms*mu must stay below about 170")
-                break
+            except OverflowError:
+                raise ValueError(f"Gamma(n_terms*mu + 1) overflows for n_terms = {n_terms}, "
+                                 f"mu = {p.mu}; n_terms*mu must stay below about 170") from None
         g.append(tables[p.mu])
         delay.append(np.fromiter((p.lam ** (k * p.mu) for k in range(size)), float, size))
-    g, delay = np.reshape(g, (-1, size)), np.reshape(delay, (-1, size))
-    c = np.zeros((len(g), size, size))
-    for part in _chunks(len(g), size * size):
+        # the kernel (point + quad u^mu) r/norm, from the set's ABC row
+        _, point, quad, norm, _ = _operator_row(OperatorKind.ABC, p)
+        rows.append((p.z0, quad, point, p.r / norm, -1.0 / p.k, p.lam))
+    g, delay, rows = np.array(g), np.array(delay), np.array(rows).T[..., None]
+    c = np.zeros((len(sets), size, size))
+    for part in _chunks(len(sets), size * size):
         cs, gs, ds = c[part], g[part], delay[part]
-        # the kernel (point + quad u^mu) r/norm, from each set's ABC row
-        rows = [(p.z0, quad, point, p.r / norm, -1.0 / p.k, p.lam) for p in sets[:len(g)][part]
-                for _, point, quad, norm, _ in [_operator_row(OperatorKind.ABC, p)]]
-        z0, quad, point, factor, neg_k, lam = np.array(rows).T[..., None]
+        z0, quad, point, factor, neg_k, lam = rows[:, part]
         cs[:, 0, :1] = z0
         s = np.zeros_like(cs)  # row i holds the delayed x_i
         s[:, 0] = cs[:, 0] * ds
@@ -263,8 +264,6 @@ def hsv_iterate(params, n_terms: int) -> HsvSolution:
         if failed.any():
             first = failed[failed.any(axis=1)][0].argmax()
             raise ValueError(f"term x_{first} has non-finite coefficients")
-    if overflow:
-        raise ValueError(overflow)
     c.flags.writeable = False
     return HsvSolution(params=params if single else sets, coeffs=c[0] if single else c)
 

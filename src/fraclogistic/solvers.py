@@ -380,8 +380,10 @@ def solve(
     ValueError
         If ``forcing`` is not a finite float or a nonempty 1-d sequence of
         finite floats; or if a stack's rows hold more nodes than four runs
-        at the step limit, ``P * (M+1) > 4 * (_MAX_STEPS + 1)``.  Both are
-        checked before any allocation.
+        at the step limit, ``P * (M+1) > 4 * (_MAX_STEPS + 1)``; or if a
+        datum operator's ``c_point / c_hist`` overflows or c_hist is 0 (CFC
+        at mu < 1 on a step near the smallest float).  All are checked
+        before any allocation.
     SolverError
         If an implicit step has no real root, or its root is non-finite or
         not positive; for a stack, the error of the first failing row.
@@ -400,6 +402,15 @@ def solve(
     if forcing.size * (n_steps + 1) > 4 * (_MAX_STEPS + 1):
         raise ValueError(f"a stack of {forcing.size} rows of {n_steps} steps holds more "
                          f"nodes than 4 runs of {_MAX_STEPS:g} steps")
+    e, point, quad, norm, datum = _operator_row(cfg.operator, p)  # e: the kernel exponent
+    c_point, c_quad = point / norm, quad / (norm * gamma_fn(e))
+    # c_hist: the weight of f(t_n) in its own quadrature, and the scale of
+    # the lag weights w
+    c_hist = c_quad * (h ** e / (e * (e + 1.0)))
+    diag = c_point + c_hist
+    # a datum operator keeps -c_point f(0) in far, divided by c_hist
+    if datum and c_point and not (c_hist and math.isfinite(c_point / c_hist)):
+        raise ValueError(f"h = {h!r} is too small: c_point / c_hist overflows")
     grid = h * np.arange(n_steps + 1)
     # Every run is a stack: row i of z, f_hist and far, and of the columns of
     # forcings and of slopes rho, is forcing i's.  A float forcing is a stack
@@ -412,12 +423,6 @@ def solve(
         """f(i, row i of x) for every row, stacked like x; a stack of one takes a view."""
         return np.array([f(i, row) for i, row in enumerate(x)]) if len(x) > 1 else f(0, x[0])[None]
 
-    e, point, quad, norm, datum = _operator_row(cfg.operator, p)  # e: the kernel exponent
-    c_point, c_quad = point / norm, quad / (norm * gamma_fn(e))
-    # c_hist: the weight of f(t_n) in its own quadrature, and the scale of
-    # the lag weights w
-    c_hist = c_quad * (h ** e / (e * (e + 1.0)))
-    diag = c_point + c_hist
     f_hist = np.zeros(z.shape)
     stats = dict(leaf_nodes=0, loop_nodes=0, sweeps=0, max_sweeps=0, rejected_leaves=0)
     built = _leaf_inverse.cache_info().misses  # inverses_built is the growth

@@ -543,16 +543,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (("surface", "--vary", "lambda", "--r", "1e200"),
          "term x_2 has non-finite coefficients"),
-        # mu = 0.1 overflows at x_31 before mu = 1 overflows Gamma(181)
+        # mu = 1 overflows Gamma(181), checked before mu = 0.1 would overflow
+        # at x_31
         (("surface", "--vary", "mu", "--to", "1", "--n-terms", "180", "--r", "1e10",
-          "--points", "3"), "term x_31 has non-finite coefficients"),
-        # mu = 0.1 overflows at x_105 before mu = 0.9 overflows Gamma(172)
+          "--points", "3"), "Gamma(n_terms*mu + 1) overflows for n_terms = 180, mu = 1.0; "
+                            "n_terms*mu must stay below about 170"),
+        # mu = 0.9 overflows Gamma(172), checked before mu = 0.1 would overflow
+        # at x_105
         (("surface", "--vary", "both", "--n-terms", "190", "--r", "1e3"),
-         "term x_105 has non-finite coefficients"),
+         "Gamma(n_terms*mu + 1) overflows for n_terms = 190, mu = 0.9; "
+         "n_terms*mu must stay below about 170"),
     ])
     def test_failing_sweep_names_its_first_failing_set(self, capsys, argv, message):
-        # exit code and message as when each set was built on its own
+        # the first set whose Gamma table overflows, in sweep order; failing
+        # that, the first set whose build fails
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("h, t_end", [("5e-324", "1e-321"), ("1e-308", "2e-306")])
+    def test_cfc_step_too_small_for_the_datum_term_exits_2(self, capsys, h, t_end):
+        # a traceback and exit 1 at 5e-324, "no real root at step 1" at 1e-308
+        assert run_cli(capsys, "solve", "--operator", "cfc", "--mu", "0.5", "--h", h,
+                       "--t-end", t_end, "--points", "3") == (
+            2, "", f"error: h = {h} is too small: c_point / c_hist overflows\n")
+
+    def test_sweep_past_its_gamma_range_exits_at_once(self, capsys):
+        # the 80 sets before mu = 0.9 would take about 50 s at n = 200
+        start = time.perf_counter()
+        assert run_cli(capsys, "surface", "--vary", "both", "--n-terms", "200") == (
+            2, "", "error: Gamma(n_terms*mu + 1) overflows for n_terms = 200, mu = 0.9; "
+                   "n_terms*mu must stay below about 170\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_series_past_its_radius_exits_3(self, capsys):
         # the series prints z = 922 at t = 4 and 1.03e13 at t = 10 for k = 100

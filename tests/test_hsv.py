@@ -420,13 +420,22 @@ def _cli_sweeps(r, z0):
 
 
 def _assert_stack_matches_sets(sets, n, ts):
-    """One stacked build and evaluation give each set's own bytes, or its first error."""
-    try:
-        singles = [hsv_iterate(p, n) for p in sets]
-    except ValueError as exc:
+    """One stacked build and evaluation give each set's own bytes, or the stack's error.
+
+    A stack checks every set's Gamma range before it builds any, so the
+    first set whose Gamma table overflows names the error; failing that,
+    the first set whose build fails.
+    """
+    singles, errors = [], []
+    for p in sets:
+        try:
+            singles.append(hsv_iterate(p, n))
+        except ValueError as exc:
+            errors.append(str(exc))
+    if errors:
         with pytest.raises(ValueError) as excinfo:
             hsv_iterate(sets, n)
-        assert str(excinfo.value) == str(exc)
+        assert str(excinfo.value) == min(errors, key=lambda e: not e.startswith("Gamma("))
         return
     stack = hsv_iterate(sets, n)
     assert stack.params == tuple(sets)
@@ -485,10 +494,22 @@ def test_stack_fails_at_its_first_failing_set():
         _assert_stack_matches_sets(sets, 175, np.array([1.0]))
     with pytest.raises(ValueError, match="x_31 has"):
         hsv_iterate([late, early], 175)
-    with pytest.raises(ValueError, match="overflows for n_terms = 175, mu = 1.0"):
-        hsv_iterate([heavy, early], 175)
+    # every Gamma range is checked before the first set is built
+    for sets in ([heavy, early], [late, heavy]):
+        with pytest.raises(ValueError, match="overflows for n_terms = 175, mu = 1.0"):
+            hsv_iterate(sets, 175)
     with pytest.raises(ValueError, match="at least one"):
         hsv_iterate([], 3)
+
+
+def test_stack_past_its_gamma_range_builds_no_set(monkeypatch):
+    # the 80 sets before mu = 0.9 would take about 50 s at n = 200
+    sets = _cli_sweeps(0.1, 10.0)["both"]
+    chunks = []
+    monkeypatch.setattr("fraclogistic.hsv._chunks", lambda *a: chunks.append(a) or [])
+    with pytest.raises(ValueError, match="overflows for n_terms = 200, mu = 0.9"):
+        hsv_iterate(sets, 200)
+    assert chunks == []
 
 
 def test_stack_builds_one_gamma_table_per_mu(monkeypatch):

@@ -411,9 +411,62 @@ class TestFailureModes:
         assert traj.values[-1] > 1e23
         assert max_rel(traj.values, reference_solve(p, cfg)) <= 1e-12
 
+    # CFC at mu < 1 puts -c_point f(0) in every node's history as a multiple
+    # of c_hist = c_quad h/2: at h = 5e-324 c_hist is 0, at 1e-308 the
+    # multiple overflows, while at 1.2e-308 z stays z0 to rounding
+    @pytest.mark.parametrize("h, t_end", [(5e-324, 1e-321), (1e-308, 2e-306)])
+    def test_step_too_small_for_the_datum_term_is_refused(self, monkeypatch, h, t_end):
+        p = ModelParams(r=0.1, k=100.0, z0=10.0, mu=0.5, lam=1.0)
+        cfg = SolveConfig(operator="cfc", t_end=t_end, h=h)
+        for operator in ("abc", "caputo"):  # no datum term, or c_point = 0
+            assert np.isfinite(solve(p, replace(cfg, operator=operator)).values).all()
+        values = solve(p, replace(cfg, h=1.2e-308, t_end=2e-306)).values
+        assert np.abs(values - p.z0).max() <= 4.0 * np.finfo(float).eps * p.z0
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("solve allocated before its checks")
+
+        monkeypatch.setattr(np, "zeros", allocated)
+        monkeypatch.setattr(np, "arange", allocated)
+        with pytest.raises(ValueError, match=rf"^h = {h!r} is too small: c_point / c_hist "
+                                             "overflows$"):
+            solve(p, cfg)
+
     def test_operator_string_coercion(self):
         cfg = SolveConfig(operator="CAPUTO", t_end=1.0, h=0.1)
         assert cfg.operator is OperatorKind.CAPUTO
+
+
+class TestLongHorizons:
+    # r = 1, k = 100, z0 = 10 and 10^5 steps of h = 0.02, far past every
+    # series' radius
+    @pytest.mark.parametrize("operator", ["abc", "caputo"])
+    @pytest.mark.parametrize("mu", [0.5, 0.9])
+    def test_undelayed_tail_decays_like_t_to_the_minus_mu(self, operator, mu):
+        # w = k - z solves D^mu w = -r w to first order, so w ~ E_mu(-r t^mu)
+        # ~ t^-mu / (r Gamma(1 - mu)); slopes -0.514, -0.904 (ABC) and
+        # -0.508, -0.903 (Caputo)
+        p = ModelParams(r=1.0, k=100.0, z0=10.0, mu=mu, lam=1.0)
+        traj = solve(p, SolveConfig(operator=operator, t_end=2000.0, h=0.02))
+        assert traj.grid[[50000, 100000]].tolist() == [1000.0, 2000.0]
+        w = p.k - traj.values[[50000, 100000]]
+        assert abs(math.log(w[1] / w[0]) / math.log(2.0) + mu) <= 0.02
+
+    # at lam = 0.5 the effective delay (1 - lam) t grows without bound and
+    # the delayed logistic's oscillations with it, until a state falls
+    # within 4 eps of the running peak; at t = 1479.3, 294.86 and 61.34
+    @pytest.mark.parametrize("operator, mu, state, step", [
+        ("abc", 0.5, "1.95451e+187", 73965),
+        ("caputo", 0.9, "6.43035e+17", 14743),
+        ("cfc", 0.9, "0.00275381", 3067),
+    ])
+    def test_delayed_run_stops_at_the_rounding_floor(self, operator, mu, state, step):
+        p = ModelParams(r=1.0, k=100.0, z0=10.0, mu=mu, lam=0.5)
+        with pytest.raises(SolverError) as excinfo:
+            solve(p, SolveConfig(operator=operator, t_end=2000.0, h=0.02))
+        assert str(excinfo.value) == (f"state {state} at step {step}, within 4 eps z_max of 0: "
+                                      "the integral form's rounding floor")
+        assert excinfo.value.step == step
 
 
 class TestReferenceEquivalence:
