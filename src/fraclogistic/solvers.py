@@ -85,7 +85,16 @@ datum, so f = r (1 - z0/k) z + forcing is linear with slope rho (a
 discrete linear Volterra convolution, Lubich, SIAM J. Math. Anal. 17,
 1986) and the first iterate, one product with G, solves the leaf.  A leaf
 is done when a sweep moves no node by more than four times the rounding
-error of its sums.  It is rejected when its sweeps would not get there
+error of its sums, or one sweep after its last two moves contract at a
+rate that puts the next at most _SETTLE times that: the row takes the
+sweep's iterate and f there, without the product and ratio that would
+confirm the stop (a contraction-based stopping rule, Hairer and Wanner,
+Solving ODEs II, 2nd ed., IV.8).  The rounding error's first half is
+|G| |v_q|, v_q the first iterate's right-hand side; where G and v_q have
+no entry with the sign bit set and G was not rebuilt after the first
+iterate, that is the first iterate's own product, which the bound takes
+instead of forming it again, so a lam = 0 leaf forms one product a row.
+It is rejected when its sweeps would not get there
 within a pinned count at their rate of contraction, when a node is not
 positive beyond that rounding error or lies at or below the rounding
 floor, or when f sums to overflow over the leaf.  The step loop then
@@ -170,6 +179,11 @@ _MAX_STEPS = 2_000_000
 _LEAF = 256
 _SWEEPS = 12
 _RHO_MOVE = 1e-3
+# A sweeping row whose last two ratios, r1 then r2, put the next at
+# r2 (r2 / r1) <= _SETTLE stops at the next sweep without measuring it: a
+# contraction rate that held would leave the next move a twentieth of
+# what the stop test allows.
+_SETTLE = 0.05
 _EPS = np.finfo(float).eps
 # The rounding floor: no node at or below _FLOOR z_max is returned.
 _FLOOR = 4.0 * _EPS
@@ -320,7 +334,9 @@ def _leaf_inverse(a_col: bytes, rho: float) -> _Inverse:
     mu, c_hist, diag and the leaf size.  g is the power series
     1 / (1 - rho sum_m a_col[m] x^m), found by Newton doubling.  The
     :data:`_Inverse` adds |g| and |ga|, for the leaves' rounding bounds, and
-    ||GA||_1.  Its arrays are read-only, since the solves of one scheme
+    ||GA||_1.  A column with no sign bit set is its own magnitude: |g| is
+    then g itself, the same array, which is how a leaf knows that |G| |v|
+    is G v.  Its arrays are read-only, since the solves of one scheme
     share them.
     """
     a_col = np.frombuffer(a_col)
@@ -333,7 +349,8 @@ def _leaf_inverse(a_col: bytes, rho: float) -> _Inverse:
         e = np.convolve(b[:m], g)[len(g):m]
         g = np.concatenate((g, -np.convolve(g, e)[:m - len(g)]))
     ga = np.convolve(g, a_col)[:size]
-    inverse = _Inverse(rho, g, ga, np.abs(g), np.abs(ga), np.abs(ga).sum())
+    g_abs, ga_abs = (x if not np.signbit(x).any() else np.abs(x) for x in (g, ga))
+    inverse = _Inverse(rho, g, ga, g_abs, ga_abs, ga_abs.sum())
     for column in inverse[1:5]:
         column.flags.writeable = False
     return inverse
@@ -491,12 +508,14 @@ def solve(
         sweep only evaluates f there.
         A row stops sweeping when its sweeps stop contracting, or their
         rate would need more than _SWEEPS, and keeps its iterate and f from
-        then on; its leaf is rejected unless the sweeps converged, and
-        also when a node sits at or below the rounding floor.  An accepted
-        row's running z_max takes the leaf's largest node.  The rows share
-        the elementwise work; each takes its own G.  A sweep's products
-        are 256-node correlations, so with the leaf-boundary blocks a run
-        whose leaves are accepted costs O(M log^2 M).
+        then on; a row whose rate predicts the stop takes one more iterate
+        and f, and no product.  Its leaf is rejected unless the sweeps
+        converged, and also when a node sits at or below the rounding
+        floor.  An accepted row's running z_max takes the leaf's largest
+        node.  The rows share the elementwise work; each takes its own G.
+        A sweep's products are 256-node correlations, so with the
+        leaf-boundary blocks a run whose leaves are accepted costs
+        O(M log^2 M).
         """
         cnt = stop - s
         v = z0 + c_hist * far[:, s:stop]
@@ -515,7 +534,7 @@ def solve(
         vq = v + np.array([f_hist[i, s - 1] - inv.rho * z[i, s - 1]
                            for i, inv in enumerate(lin)])[:, None] * a_sum[:cnt]
         zl = by_row(lambda i, q: _lower(lin[i].g, q), vq)
-        going = range(len(lin))  # the rows still sweeping
+        going = range(len(lin))  # the rows that still take products
         worst, done = [math.inf if lam else 0.0] * len(lin), [0] * len(lin)
         for sweep in range(1, _SWEEPS + 1):
             if lam == 1.0:  # (1 - 0) z_n + 0 z_n, as interpolated: nan where z_n = inf
@@ -525,6 +544,10 @@ def solve(
                 zd = (1.0 - theta) * z.take(j, axis=-1) + theta * z.take(j1, axis=-1)
             fl = logistic_rhs(p, zl, zd, f_col)
             if sweep == 1:
+                # rows whose G and v_q hold no sign bit, while they keep
+                # the G of their first iterate: |G| |v_q| is G v_q
+                held = [inv.g_abs is inv.g and not neg
+                        for inv, neg in zip(lin, np.signbit(vq).any(axis=-1).tolist())]
                 if lam:
                     # the slope of each f_n along a uniform shift of the
                     # leaf.  G is rebuilt at their mean only where they
@@ -540,32 +563,42 @@ def solve(
                             if by > 0.5 * rung:  # the rung slows sweeps little
                                 at = np.rint(at / rung) * rung
                             lin[i] = _leaf_inverse(a_key, at)
-                # four times the rounding error of the two sums
-                tol = 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].g_abs, q), np.abs(vq))
+                            held[i] = False
+                # four times the rounding error of the two sums; a held
+                # row's first sum is its first iterate
+                tol = 4.0 * _EPS * by_row(
+                    lambda i, q: zl[i] if held[i] else _lower(lin[i].g_abs, np.abs(q)), vq)
                 if not lam:
                     done = [1] * len(lin)
                     break
                 rho = np.array([inv.rho for inv in lin])[:, None]
                 tol += 4.0 * _EPS * by_row(lambda i, q: _lower(lin[i].ga_abs, q),
                                            np.abs(fl) + np.abs(rho * (v - zl)))
+            if not going:  # the rows that predicted their stop have f
+                break
             # a row that stopped keeps zl, whatever its zn
             zn = v + by_row(lambda i, q: q if done[i] else _lower(lin[i].ga, q),
                             fl + rho * (v - zl))
             ratio = (np.abs(zn - zl) / tol).max(axis=-1).tolist()
             # a row stops at convergence, or when the rate of contraction
-            # says its sweeps would not get there
+            # says its sweeps would not get there; one whose rate puts the
+            # next ratio at most _SETTLE takes zn and stops at the next
+            # sweep, with f there, without the product that would confirm it
             for i in going:
                 last, worst[i] = worst[i], ratio[i]
                 if (not 1.0 < worst[i] < last
                         or sweep + math.log(worst[i]) / math.log(last / worst[i]) > _SWEEPS):
                     done[i] = sweep
+                elif last < math.inf and worst[i] * (worst[i] / last) <= _SETTLE:
+                    done[i], worst[i] = sweep + 1, worst[i] * (worst[i] / last)
+            moving = [i for i in going if done[i] != sweep]  # the rows that take zn
             going = [i for i in going if not done[i]]
-            if len(going) == len(lin):
+            if len(moving) == len(lin):
                 zl = zn
-            elif not going:
+            elif not moving:
                 break
             else:
-                zl[going] = zn[going]
+                zl[moving] = zn[moving]
         stats["sweeps"] += sum(done)
         stats["max_sweeps"] = max(stats["max_sweeps"], *done)
         z[:, s:stop] = zl  # lam = 1 and lam = 0 leave it to here
@@ -651,7 +684,8 @@ def solve(
             if zn <= _FLOOR * peak:
                 # z0 plus a history whose terms reach the largest state, z_max,
                 # resolves no z below a few eps z_max
-                floor = ", within 4 eps z_max of 0: the integral form's rounding floor"
+                floor = (f" (t = {n * h:.6g}), within 4 eps z_max of 0, z_max = {peak:.6g}: "
+                         "the integral form's rounding floor")
                 raise SolverError(f"{'non-positive ' if zn <= 0.0 else ''}state {zn:.6g} at step "
                                   f"{n}{floor if -zn <= _FLOOR * peak else ''}", step=n)
             fn = logistic_rhs(p, zn, a + b * zn, forcing)

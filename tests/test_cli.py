@@ -472,11 +472,14 @@ class TestExitCodes:
         (("--lambda", "0.25", "--r", "5", "--t-end", "6"), 454),
     ])
     def test_rounding_floor_is_named(self, capsys, argv, step):
+        # the message names the step, its time and the z_max that sets the floor
+        t, z_max = {76: ("3.8", "10"), 454: ("4.54", "6182.73")}[step]
         code, out, err = run_cli(capsys, "solve", "--operator", "abc", "--mu", "1", *argv)
         assert code == 3
         assert out == ""
-        assert re.fullmatch(rf"error: state \S+ at step {step}, within 4 eps "
-                            r"z_max of 0: the integral form's rounding floor\n", err)
+        assert re.fullmatch(rf"error: state \S+ at step {step} \(t = {t}\), within 4 eps "
+                            rf"z_max of 0, z_max = {z_max}: the integral form's rounding "
+                            r"floor\n", err)
 
     def test_cfc_rounding_floor_is_named(self, capsys):
         # z decays from 10 to about 2e-17 at t = 2, below what the integral
@@ -486,8 +489,8 @@ class TestExitCodes:
                                  "--r", "20", "--mu", "0.9", "--t-end", "5", "--h", "0.01",
                                  "--points", "6")
         assert (code, out) == (3, "")
-        assert re.fullmatch(r"error: state \S+ at step 172, within 4 eps "
-                            r"z_max of 0: the integral form's rounding floor\n", err)
+        assert re.fullmatch(r"error: state \S+ at step 172 \(t = 1.72\), within 4 eps "
+                            r"z_max of 0, z_max = 10: the integral form's rounding floor\n", err)
 
     def test_stability_deviation_at_the_rounding_floor(self, capsys):
         # a deviation of 1.78e-14 against a floor of 1.8e-14 (4 eps z_max)
@@ -522,10 +525,12 @@ class TestExitCodes:
           "--points", "81"), 76),
     ])
     def test_positive_state_at_the_rounding_floor_fails(self, capsys, argv, step):
+        t = {772: "7.72", 76: "3.8"}[step]
         code, out, err = run_cli(capsys, "solve", "--mu", "1", "--lambda", "0", *argv)
         assert (code, out) == (3, "")
-        assert re.fullmatch(rf"error: state \S+ at step {step}, within 4 eps z_max of 0: "
-                            r"the integral form's rounding floor\n", err)
+        assert re.fullmatch(rf"error: state \S+ at step {step} \(t = {t}\), within "
+                            r"4 eps z_max of 0, z_max = 10: the integral form's rounding "
+                            r"floor\n", err)
 
     def test_failure_far_from_the_rounding_floor(self, capsys):
         # a root far below 0 is a failure of the scheme, not of rounding

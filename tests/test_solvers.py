@@ -26,6 +26,7 @@ from fraclogistic.solvers import (
     _GL_HALF_WEIGHTS,
     _LEAF,
     _MAX_STEPS,
+    _SETTLE,
     _lag_weights,
     _leaf_inverse,
     _lower,
@@ -377,8 +378,9 @@ class TestFailureModes:
         p = ModelParams(r=2.0, k=100.0, z0=10.0, mu=0.5, lam=1.0)
         with pytest.raises(SolverError) as excinfo:
             solve(p, SolveConfig(operator="abc", t_end=0.1, h=0.01), forcing=-20.0)
-        assert str(excinfo.value) == ("non-positive state 0 at step 0, within 4 eps z_max of "
-                                      "0: the integral form's rounding floor")
+        assert str(excinfo.value) == ("non-positive state 0 at step 0 (t = 0), within 4 eps "
+                                      "z_max of 0, z_max = 10: the integral form's rounding "
+                                      "floor")
         assert excinfo.value.step == 0
 
     def test_decaying_runs_return_no_node_at_the_rounding_floor(self):
@@ -454,18 +456,21 @@ class TestLongHorizons:
 
     # at lam = 0.5 the effective delay (1 - lam) t grows without bound and
     # the delayed logistic's oscillations with it, until a state falls
-    # within 4 eps of the running peak; at t = 1479.3, 294.86 and 61.34
+    # within 4 eps of the running peak z_max
     @pytest.mark.parametrize("operator, mu, state, step", [
         ("abc", 0.5, "1.95451e+187", 73965),
         ("caputo", 0.9, "6.43035e+17", 14743),
         ("cfc", 0.9, "0.00275381", 3067),
     ])
     def test_delayed_run_stops_at_the_rounding_floor(self, operator, mu, state, step):
+        t, z_max = {"abc": ("1479.3", "2.20304e+202"), "caputo": ("294.86", "7.28365e+32"),
+                    "cfc": ("61.34", "3.18934e+12")}[operator]
         p = ModelParams(r=1.0, k=100.0, z0=10.0, mu=mu, lam=0.5)
         with pytest.raises(SolverError) as excinfo:
             solve(p, SolveConfig(operator=operator, t_end=2000.0, h=0.02))
-        assert str(excinfo.value) == (f"state {state} at step {step}, within 4 eps z_max of 0: "
-                                      "the integral form's rounding floor")
+        assert str(excinfo.value) == (f"state {state} at step {step} (t = {t}), within 4 eps "
+                                      f"z_max of 0, z_max = {z_max}: the integral form's "
+                                      "rounding floor")
         assert excinfo.value.step == step
 
 
@@ -613,6 +618,95 @@ class TestLeafInverses:
         else:
             stats = solve(p, cfg).stats
             assert stats["rejected_leaves"] == 2 and stats["loop_nodes"] == 256
+
+    def test_magnitudes_without_a_sign_bit_are_the_columns(self):
+        # at rho > 0, G = (I - rho A)^-1 and GA have no negative entry, so
+        # |g| and |ga| are the columns themselves and the cache holds no
+        # copies; at rho < 0, g alternates in sign after its first entry
+        a_col = np.full(_LEAF, 1e-2)
+        a_col[0] = 2e-2
+        up, down = (_leaf_inverse(a_col.tobytes(), rho) for rho in (0.5, -0.5))
+        assert up.g_abs is up.g and up.ga_abs is up.ga
+        assert np.signbit(down.g).any() and down.g_abs is not down.g
+        for inverse in (up, down):
+            for col, col_abs in ((inverse.g, inverse.g_abs), (inverse.ga, inverse.ga_abs)):
+                assert (col_abs is col) == (not np.signbit(col).any())
+            assert np.array_equal(inverse.g_abs, np.abs(inverse.g))
+            assert np.array_equal(inverse.ga_abs, np.abs(inverse.ga))
+            assert inverse.ga_norm == np.abs(inverse.ga).sum()
+            assert not inverse.g_abs.flags.writeable and not inverse.ga_abs.flags.writeable
+
+
+class TestLeafProducts:
+    """A leaf forms no 256-node product whose sums it already holds."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+
+        def lower(col, x):
+            calls.append((col, x.copy()))
+            return _lower(col, x)
+
+        monkeypatch.setattr("fraclogistic.solvers._lower", lower)
+        return calls
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_lambda_zero_leaf_forms_one_product_a_row(self, monkeypatch, operator):
+        # r (1 - z0/k) > 0 leaves G and v_q no entry with the sign bit set,
+        # so the rounding bound's |G| |v_q| is the first iterate G v_q
+        calls = self.record(monkeypatch)
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.9, lam=0.0)
+        cfg = SolveConfig(operator=operator, t_end=255 * 0.01, h=0.01)  # one leaf
+        for forcing in (0.0, (0.0, 1e-3, 1e-2)):
+            calls.clear()
+            traj = solve(p, cfg, forcing=forcing)
+            assert traj.stats["leaf_nodes"] == 255 * np.size(forcing)
+            assert len(calls) == np.size(forcing)
+
+    def test_rebuilt_inverse_forms_its_bound(self, monkeypatch):
+        # at lam = 1 the first leaf's mean slope is off node 0's, so G is
+        # rebuilt in sweep 1, after the first iterate: the bound's |G| |v_q|
+        # is then a product of its own, on the new G, though v_q has no
+        # entry with the sign bit set
+        calls = self.record(monkeypatch)
+        _leaf_inverse.cache_clear()
+        p = ModelParams(r=0.3, k=100.0, z0=10.0, mu=0.5, lam=1.0)
+        traj = solve(p, SolveConfig(operator="abc", t_end=255 * 0.01, h=0.01))
+        assert traj.stats["inverses_built"] == 2
+        (g, vq), (g_abs, abs_vq) = calls[:2]
+        assert not np.signbit(vq).any() and not np.signbit(g).any()
+        assert g_abs is not g and not np.array_equal(g_abs, g)
+        assert np.array_equal(abs_vq, vq)
+
+    @pytest.mark.parametrize("operator", ["abc", "cfc", "caputo"])
+    def test_predicted_stop_keeps_every_value(self, monkeypatch, operator):
+        # a row whose last two ratios put its next at most _SETTLE stops at
+        # the next sweep without that sweep's product; measuring every
+        # ratio (_SETTLE = 0) gives the same values, stats and errors
+        calls = self.record(monkeypatch)
+
+        def run(settle):
+            monkeypatch.setattr("fraclogistic.solvers._SETTLE", settle)
+            calls.clear()
+            out = []
+            for mu, lam, r, z0, forcing in itertools.product(
+                    (0.5, 0.9, 1.0), (0.5, 0.95, 1.0), (-1.0, 0.1, 5.0), (1e-3, 10.0),
+                    (0.0, (0.0, 1e-2, -1e-3))):
+                _leaf_inverse.cache_clear()
+                p = ModelParams(r=r, k=100.0, z0=z0, mu=mu, lam=lam)
+                try:
+                    traj = solve(p, SolveConfig(operator=operator, t_end=5.0, h=0.01),
+                                 forcing=forcing)
+                    out.append((traj.values.tobytes(), traj.stats))
+                except SolverError as exc:
+                    out.append((str(exc), exc.step))
+            return out, len(calls)
+
+        predicted, fewer = run(_SETTLE)
+        measured, products = run(0.0)
+        assert measured == predicted
+        assert fewer < products
 
 
 class TestLagWeights:
